@@ -20,6 +20,7 @@ module History = Optimist_history.History
 module Vclock = Optimist_clock.Vclock
 module Live = Optimist_live.Supervisor
 module Live_worker = Optimist_live.Worker
+module Registry = Optimist_protocols.Registry
 module Live_merge = Optimist_live.Merge
 module Json = Optimist_obs.Json
 module Obs_trace = Optimist_obs.Trace
@@ -33,29 +34,26 @@ let fmt_float f = Printf.sprintf "%.2f" f
 (* T1: paper Table 1, measured                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Static facts about each implementation, stated by its module docs. *)
-let ordering_assumption = function
-  | Runner.Strom_yemini | Runner.Peterson_kearns -> "FIFO"
-  | Runner.Damani_garg | Runner.Damani_garg_no_hold | Runner.Pessimistic
-  | Runner.Sender_based | Runner.Checkpoint_only | Runner.Coordinated ->
-      "None"
+(* Each protocol runs on the channels it assumes. *)
+let ordering protocol =
+  if Registry.fifo protocol then Network.Fifo else Network.Reorder
 
 (* Does the restarting process resume without waiting for any peer?
    Structural property of each protocol (see the module documentation);
    the P2 experiment measures the corresponding stall. *)
 let asynchronous_recovery = function
-  | Runner.Damani_garg | Runner.Damani_garg_no_hold | Runner.Strom_yemini
-  | Runner.Pessimistic | Runner.Checkpoint_only ->
+  | Registry.Dg | Registry.Dg_nohold | Registry.Sy | Registry.Pessimist
+  | Registry.Cpo ->
       "Yes"
-  | Runner.Sender_based | Runner.Peterson_kearns | Runner.Coordinated -> "No"
+  | Registry.Sender | Registry.Pk | Registry.Koo -> "No"
 
 (* How many failures the design claims to handle (the paper's Table 1
    "number of concurrent failures allowed" column). *)
 let designed_concurrent = function
-  | Runner.Peterson_kearns -> "1"
-  | Runner.Sender_based -> "n (single at a time)"
-  | Runner.Damani_garg | Runner.Damani_garg_no_hold | Runner.Strom_yemini
-  | Runner.Pessimistic | Runner.Checkpoint_only | Runner.Coordinated ->
+  | Registry.Pk -> "1"
+  | Registry.Sender -> "n (single at a time)"
+  | Registry.Dg | Registry.Dg_nohold | Registry.Sy | Registry.Pessimist
+  | Registry.Cpo | Registry.Koo ->
       "n"
 
 let table1 () =
@@ -92,24 +90,14 @@ let table1 () =
         ]
   in
   let protocols =
-    [
-      Runner.Damani_garg;
-      Runner.Strom_yemini;
-      Runner.Peterson_kearns;
-      Runner.Sender_based;
-      Runner.Pessimistic;
-      Runner.Checkpoint_only;
-      Runner.Coordinated;
-    ]
+    Registry.[ Dg; Sy; Pk; Sender; Pessimist; Cpo; Koo ]
   in
   List.iter
     (fun protocol ->
-      let ordering =
-        if ordering_assumption protocol = "FIFO" then Network.Fifo
-        else Network.Reorder
+      let with_oracle = protocol = Registry.Dg in
+      let p =
+        { base with Runner.protocol; ordering = ordering protocol; with_oracle }
       in
-      let with_oracle = protocol = Runner.Damani_garg in
-      let p = { base with Runner.protocol; ordering; with_oracle } in
       let r = Runner.run p in
       let r0 = Runner.run { p with Runner.faults = [] } in
       let failures = max 1 (Runner.counter r "failures") in
@@ -132,7 +120,7 @@ let table1 () =
       Table.add_row t
         [
           r.Runner.r_protocol;
-          ordering_assumption protocol;
+          (if Registry.fifo protocol then "FIFO" else "None");
           asynchronous_recovery protocol;
           fmt_float rollbacks_per_failure;
           fmt_float piggyback;
@@ -264,10 +252,6 @@ let domino () =
       in
       List.iter
         (fun protocol ->
-          let ordering =
-            if ordering_assumption protocol = "FIFO" then Network.Fifo
-            else Network.Reorder
-          in
           let p =
             {
               Runner.default_params with
@@ -278,7 +262,7 @@ let domino () =
               hops = 8;
               faults;
               protocol;
-              ordering;
+              ordering = ordering protocol;
             }
           in
           let r = Runner.run p in
@@ -292,7 +276,7 @@ let domino () =
                 (float_of_int (Runner.counter r "rollbacks") /. float_of_int fl);
               string_of_int (Runner.counter r "lost_states");
             ])
-        [ Runner.Damani_garg; Runner.Strom_yemini; Runner.Checkpoint_only ];
+        Registry.[ Dg; Sy; Cpo ];
       Table.add_separator t)
     [ 1; 2; 4; 6 ];
   Format.printf "%s@." (Table.render t);
@@ -325,10 +309,6 @@ let recovery () =
   in
   List.iter
     (fun protocol ->
-      let ordering =
-        if ordering_assumption protocol = "FIFO" then Network.Fifo
-        else Network.Reorder
-      in
       let p =
         {
           Runner.default_params with
@@ -339,7 +319,7 @@ let recovery () =
           hops = 6;
           faults;
           protocol;
-          ordering;
+          ordering = ordering protocol;
         }
       in
       let r = Runner.run p in
@@ -359,13 +339,7 @@ let recovery () =
           string_of_int (Runner.counter r "replayed");
           string_of_int (Runner.counter r "rollbacks");
         ])
-    [
-      Runner.Damani_garg;
-      Runner.Strom_yemini;
-      Runner.Peterson_kearns;
-      Runner.Sender_based;
-      Runner.Pessimistic;
-    ];
+    Registry.[ Dg; Sy; Pk; Sender; Pessimist ];
   Format.printf "%s@." (Table.render t);
   Format.printf
     "expected shape: the optimistic asynchronous protocols (D-G, S-Y) block \
@@ -490,7 +464,7 @@ let ablation () =
           string_of_int (Runner.counter r "rollbacks");
           (if r.Runner.r_violations = [] then "consistent" else "VIOLATED");
         ])
-    [ Runner.Damani_garg; Runner.Damani_garg_no_hold ];
+    Registry.[ Dg; Dg_nohold ];
   Format.printf "%s@." (Table.render t);
   Format.printf
     "expected shape: without the hold, an undetected orphan that merges a \
@@ -601,8 +575,8 @@ let motivation () =
           faults;
         }
       in
-      let pess = Runner.run { base with Runner.protocol = Runner.Pessimistic } in
-      let dg = Runner.run { base with Runner.protocol = Runner.Damani_garg } in
+      let pess = Runner.run { base with Runner.protocol = Registry.Pessimist } in
+      let dg = Runner.run { base with Runner.protocol = Registry.Dg } in
       let pess_blocked =
         float_of_int (Runner.counter pess "blocked_time_x1000") /. 1000.0
       in
@@ -661,8 +635,8 @@ let motivation () =
           hops = 5;
         }
       in
-      let coord = Runner.run { p with Runner.protocol = Runner.Coordinated } in
-      let dg = Runner.run { p with Runner.protocol = Runner.Damani_garg } in
+      let coord = Runner.run { p with Runner.protocol = Registry.Koo } in
+      let dg = Runner.run { p with Runner.protocol = Registry.Dg } in
       Table.add_row t
         [
           string_of_int n;
@@ -960,7 +934,7 @@ let live () =
   in
   List.iter
     (fun protocol ->
-      let name = Live_worker.protocol_name protocol in
+      let name = Registry.name protocol in
       let dir =
         Filename.concat
           (Filename.get_temp_dir_name ())
@@ -991,7 +965,7 @@ let live () =
           string_of_int r.Live.clean_exits;
           string_of_int r.Live.dropped;
         ])
-    [ Live_worker.Dg; Live_worker.Pessimist ];
+    Registry.[ Dg; Pessimist ];
   Format.printf "%s@." (Table.render t)
 
 (* ------------------------------------------------------------------ *)

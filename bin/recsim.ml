@@ -26,6 +26,7 @@ module Table = Optimist_util.Table
 module Validate = Optimist_util.Validate
 module Live = Optimist_live.Supervisor
 module Live_worker = Optimist_live.Worker
+module Registry = Optimist_protocols.Registry
 module Report = Optimist_obs.Report
 module Soak = Optimist_soak.Soak
 module Scenario = Optimist_soak.Scenario
@@ -56,14 +57,14 @@ let probability = conv_of Validate.probability Format.pp_print_float
 
 let protocol_conv =
   let parse s =
-    match Runner.protocol_of_string s with
+    match Registry.of_string s with
     | Some p -> Ok p
     | None ->
         Error
           (`Msg
             (Printf.sprintf "unknown protocol %S (see `recsim list')" s))
   in
-  let print ppf p = Format.pp_print_string ppf (Runner.protocol_name p) in
+  let print ppf p = Format.pp_print_string ppf (Registry.name p) in
   Arg.conv (parse, print)
 
 let pattern_conv =
@@ -251,7 +252,7 @@ let run_cmd =
   let protocol_arg =
     Arg.(
       value
-      & opt protocol_conv Runner.Damani_garg
+      & opt protocol_conv Registry.Dg
       & info [ "protocol"; "p" ] ~docv:"PROTOCOL" ~doc:"Protocol to run.")
   in
   let action protocol n seed rate duration hops failures fifo oracle pattern
@@ -451,23 +452,6 @@ let check_cmd =
 
 (* --- live --- *)
 
-let live_protocol_names =
-  String.concat " | "
-    (List.map Live_worker.protocol_name Live_worker.all_protocols)
-
-let live_protocol_conv =
-  let parse s =
-    match Live_worker.protocol_of_string s with
-    | Some p -> Ok p
-    | None ->
-        Error
-          (`Msg
-            (Printf.sprintf "unknown live protocol %S (%s)" s
-               live_protocol_names))
-  in
-  let print ppf p = Format.pp_print_string ppf (Live_worker.protocol_name p) in
-  Arg.conv (parse, print)
-
 let fault_conv =
   conv_of Validate.fault (fun ppf (at, pid) -> Format.fprintf ppf "%g:%d" at pid)
 
@@ -482,10 +466,10 @@ let live_run_cmd =
   let protocol_arg =
     Arg.(
       value
-      & opt live_protocol_conv Live_worker.Dg
+      & opt protocol_conv Registry.Dg
       & info [ "protocol"; "p" ] ~docv:"PROTOCOL"
           ~doc:
-            (Printf.sprintf "Protocol to run live: %s." live_protocol_names))
+            (Printf.sprintf "Protocol to run live: %s." Registry.live_names))
   in
   let rate_arg =
     Arg.(
@@ -639,31 +623,31 @@ let live_soak_cmd =
   let protocols_arg =
     let protocols_conv =
       let parse s =
-        if s = "all" then Ok Live_worker.all_protocols
+        if s = "all" then Ok Registry.live_protocols
         else
-          match Live_worker.protocol_of_string s with
-          | Some p -> Ok [ p ]
-          | None ->
+          match Registry.of_string s with
+          | Some p when List.mem p Registry.live_protocols -> Ok [ p ]
+          | _ ->
               Error
                 (`Msg
                   (Printf.sprintf "unknown live protocol %S (all | %s)" s
-                     live_protocol_names))
+                     Registry.live_names))
       in
       let print ppf ps =
         Format.pp_print_string ppf
-          (String.concat "," (List.map Live_worker.protocol_name ps))
+          (String.concat "," (List.map Registry.name ps))
       in
       Arg.conv (parse, print)
     in
     Arg.(
       value
-      & opt protocols_conv [ Live_worker.Dg ]
+      & opt protocols_conv [ Registry.Dg ]
       & info [ "protocol"; "p" ] ~docv:"PROTOCOL"
           ~doc:
             (Printf.sprintf
                "Protocol matrix the scenarios cycle through: $(b,all) or one \
                 of %s."
-               live_protocol_names))
+               Registry.live_names))
   in
   let scenarios_arg =
     Arg.(
@@ -1096,9 +1080,9 @@ let cluster_run_cmd =
   let protocol_arg =
     Arg.(
       value
-      & opt live_protocol_conv Live_worker.Dg
+      & opt protocol_conv Registry.Dg
       & info [ "protocol"; "p" ] ~docv:"PROTOCOL"
-          ~doc:(Printf.sprintf "Protocol to run: %s." live_protocol_names))
+          ~doc:(Printf.sprintf "Protocol to run: %s." Registry.live_names))
   in
   let faults_arg =
     Arg.(
@@ -1247,7 +1231,7 @@ let cluster_soak_cmd =
   let action seed scenarios shrink_budget agents port_base worker_base out =
     let plan =
       Scenario.plan ~seed ~count:scenarios
-        ~protocols:[ Live_worker.Dg ]
+        ~protocols:[ Registry.Dg ]
     in
     let runner = Cluster.scenario_runner ~agents ~port_base ~worker_base () in
     let summary =
@@ -1296,7 +1280,7 @@ let mc_explore_term =
   let protocol_arg =
     Arg.(
       value
-      & opt protocol_conv Runner.Damani_garg
+      & opt protocol_conv Registry.Dg
       & info [ "protocol"; "p" ] ~docv:"PROTOCOL"
           ~doc:
             "Protocol to model-check (ignored when $(b,--mutate) is given: \
@@ -1413,7 +1397,7 @@ let mc_explore_term =
       List.iter
         (fun (m : Mc_model.mutant) ->
           Printf.printf "%-18s %-12s %s  %s\n" m.Mc_model.mu_name
-            (Runner.protocol_name m.Mc_model.mu_protocol) m.Mc_model.mu_rule
+            (Registry.name m.Mc_model.mu_protocol) m.Mc_model.mu_rule
             m.Mc_model.mu_doc)
         Mc_model.mutants;
       exit 0
@@ -1454,7 +1438,7 @@ let mc_explore_term =
     let outcome =
       Mc_explorer.explore ~build:(fun () -> Mc_model.build cfg) ~crashes opts
     in
-    Printf.printf "protocol: %s%s\n" (Runner.protocol_name protocol)
+    Printf.printf "protocol: %s%s\n" (Registry.name protocol)
       (if mutation = "" then "" else "  mutation: " ^ mutation);
     Printf.printf "mode: %s  depth: %d  procs: %d  msgs: %d  hops: %d  crashes: %d\n"
       (if naive then "naive" else "dpor")
@@ -1591,14 +1575,9 @@ let compare_cmd =
     in
     List.iter
       (fun protocol ->
-        let fifo =
-          match protocol with
-          | Runner.Strom_yemini | Runner.Peterson_kearns -> true
-          | _ -> false
-        in
         let params =
-          make_params protocol n seed rate duration hops failures fifo false
-            pattern
+          make_params protocol n seed rate duration hops failures
+            (Registry.fifo protocol) false pattern
         in
         let r = Runner.run params in
         let piggyback =
@@ -1616,7 +1595,7 @@ let compare_cmd =
             Printf.sprintf "%.1f"
               (float_of_int (Runner.counter r "blocked_time_x1000") /. 1000.0);
           ])
-      Runner.all_protocols;
+      Registry.all;
     Format.printf "%s@." (Table.render t)
   in
   Cmd.v
@@ -1631,8 +1610,8 @@ let compare_cmd =
 let list_cmd =
   let action () =
     List.iter
-      (fun p -> print_endline (Runner.protocol_name p))
-      Runner.all_protocols
+      (fun p -> print_endline (Registry.name p))
+      Registry.all
   in
   Cmd.v
     (Cmd.info "list" ~doc:"List the implemented protocols.")

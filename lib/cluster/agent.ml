@@ -1,4 +1,3 @@
-module Worker = Optimist_live.Worker
 module Supervisor = Optimist_live.Supervisor
 
 (* One cluster agent: hosts a block of workers on this machine on behalf
@@ -76,7 +75,7 @@ let handle_conn ~dir ~quiet fd =
             log ~quiet "agent: plan %s — workers [%s] of %d, protocol %s" a.ag_run
               (String.concat ";" (List.map string_of_int a.ag_workers))
               a.ag_n
-              (Worker.protocol_name a.ag_protocol);
+              (Optimist_protocols.Registry.name a.ag_protocol);
             Proto.send_response fd Proto.Ok_
         | exception Invalid_argument msg ->
             Proto.send_response fd (Proto.Error_ msg))

@@ -1,4 +1,5 @@
 module Worker = Optimist_live.Worker
+module Registry = Optimist_protocols.Registry
 module Livenet = Optimist_live.Livenet
 module Merge = Optimist_live.Merge
 module Json = Optimist_obs.Json
@@ -20,7 +21,7 @@ module Soak = Optimist_soak.Soak
 type cfg = {
   cc_out : string;  (** coordinator-side output directory *)
   cc_n : int;
-  cc_protocol : Worker.protocol;
+  cc_protocol : Registry.id;
   cc_seed : int64;
   cc_duration : float;
   cc_settle : float;
@@ -39,7 +40,7 @@ let default_cfg =
   {
     cc_out = "cluster-run";
     cc_n = 4;
-    cc_protocol = Worker.Dg;
+    cc_protocol = Registry.Dg;
     cc_seed = 1L;
     cc_duration = 3.0;
     cc_settle = 2.0;
@@ -164,7 +165,7 @@ let run ?(log = fun _ -> ()) cfg ~peers =
   else begin
     let run_id =
       Printf.sprintf "run-%s-%Ld"
-        (Worker.protocol_name cfg.cc_protocol)
+        (Registry.name cfg.cc_protocol)
         cfg.cc_seed
     in
     let peer_arr = Array.of_list peers in
@@ -297,7 +298,7 @@ let run ?(log = fun _ -> ()) cfg ~peers =
             [
               ("transport", Json.String "tcp");
               ("run", Json.String run_id);
-              ("protocol", Json.String (Worker.protocol_name cfg.cc_protocol));
+              ("protocol", Json.String (Registry.name cfg.cc_protocol));
               ("telemetry", Json.String (Worker.telemetry_name cfg.cc_telemetry));
               ("n", Json.Int cfg.cc_n);
               ("agents", Json.Int k);
@@ -395,7 +396,7 @@ let run_forked ?(log = fun _ -> ()) ?(port_base = 7800) ~agents cfg =
    knowing anything changed. *)
 let scenario_runner ?(agents = 2) ?(port_base = 7800) ?(worker_base = 7900) ()
     ~dir (s : Scenario.t) =
-  match Worker.protocol_of_string s.Scenario.sc_protocol with
+  match Registry.of_string s.Scenario.sc_protocol with
   | None -> Error (Printf.sprintf "unknown protocol %S" s.Scenario.sc_protocol)
   | Some protocol -> (
       let cfg =

@@ -18,7 +18,7 @@ module Soak = Optimist_soak.Soak
 type cfg = {
   cc_out : string;  (** coordinator-side output directory *)
   cc_n : int;
-  cc_protocol : Worker.protocol;
+  cc_protocol : Optimist_protocols.Registry.id;
   cc_seed : int64;
   cc_duration : float;
   cc_settle : float;

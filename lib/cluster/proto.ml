@@ -8,14 +8,14 @@ module Traffic = Optimist_workload.Traffic
    sound (same type layout); the version handshake guards against
    mismatched builds on different hosts. *)
 
-let version = 1
+let version = 2
 
 type agent_cfg = {
   ag_run : string;  (** run id, for agent-side logging *)
   ag_n : int;  (** total workers across the cluster *)
   ag_workers : int list;  (** the pids this agent hosts *)
   ag_endpoints : (string * int) array;  (** worker pid -> host, data port *)
-  ag_protocol : Worker.protocol;
+  ag_protocol : Optimist_protocols.Registry.id;
   ag_seed : int64;
   ag_duration : float;
   ag_settle : float;

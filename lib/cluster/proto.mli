@@ -20,7 +20,7 @@ type agent_cfg = {
   ag_n : int;  (** total workers across the cluster *)
   ag_workers : int list;  (** the pids this agent hosts *)
   ag_endpoints : (string * int) array;  (** worker pid -> host, data port *)
-  ag_protocol : Worker.protocol;
+  ag_protocol : Optimist_protocols.Registry.id;
   ag_seed : int64;
   ag_duration : float;
   ag_settle : float;

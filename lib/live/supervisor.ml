@@ -1,4 +1,5 @@
 module Json = Optimist_obs.Json
+module Registry = Optimist_protocols.Registry
 module Traffic = Optimist_workload.Traffic
 
 (* The supervisor is the only process of a live run with a global view:
@@ -65,6 +66,7 @@ let run_file dir = Filename.concat dir "run.json"
 
 let validate cfg =
   let fail fmt = Printf.ksprintf invalid_arg fmt in
+  Result.iter_error (fail "%s") (Registry.live cfg.protocol);
   if cfg.n < 2 then fail "n must be at least 2 (got %d)" cfg.n;
   (* Catch an over-long --dir here, before any worker hits the opaque
      [Unix.bind] EINVAL/ENAMETOOLONG deep inside its fork. *)
@@ -275,7 +277,7 @@ let run cfg =
   let summary =
     Json.Obj
       [
-        ("protocol", Json.String (Worker.protocol_name cfg.protocol));
+        ("protocol", Json.String (Registry.name cfg.protocol));
         ("telemetry", Json.String (Worker.telemetry_name cfg.telemetry));
         ("n", Json.Int cfg.n);
         ("seed", Json.String (Int64.to_string cfg.seed));

@@ -54,7 +54,8 @@ val run_file : string -> string
 
 val validate : cfg -> unit
 (** Raises [Invalid_argument] with a one-line message on nonsense
-    parameters (n < 2, non-positive durations/rates, fault pid or time
+    parameters (a protocol without a live implementation, n < 2,
+    non-positive durations/rates, fault pid or time
     out of range, drop/dup rates outside [0, 1), malformed partitions,
     a [dir] whose socket paths would overflow [sun_path]). *)
 

@@ -1,12 +1,6 @@
-module Types = Optimist_core.Types
-module Process = Optimist_core.Process
+module Protocol = Optimist_core.Protocol
 module Transport = Optimist_core.Transport
-module Pessimistic = Optimist_protocols.Pessimistic
-module Sender_based = Optimist_protocols.Sender_based
-module Strom_yemini = Optimist_protocols.Strom_yemini
-module Checkpoint_only = Optimist_protocols.Checkpoint_only
-module Coordinated = Optimist_protocols.Coordinated
-module Check = Optimist_check.Check
+module Registry = Optimist_protocols.Registry
 module Traffic = Optimist_workload.Traffic
 module Schedule = Optimist_workload.Schedule
 module Trace = Optimist_obs.Trace
@@ -14,48 +8,16 @@ module Span = Optimist_obs.Span
 module Metrics = Optimist_obs.Metrics
 module Json = Optimist_obs.Json
 
-type protocol = Dg | Pessimist | Sender | Sy | Cpo | Koo
+include Registry.Ids
 
-let protocol_name = function
-  | Dg -> "dg"
-  | Pessimist -> "pessimist"
-  | Sender -> "sender-based"
-  | Sy -> "strom-yemini"
-  | Cpo -> "checkpoint-only"
-  | Koo -> "coordinated"
+type protocol = id
 
-let protocol_of_string = function
-  | "dg" | "damani-garg" -> Some Dg
-  | "pessimist" | "pessimistic" -> Some Pessimist
-  | "sender-based" | "sender" | "sb" -> Some Sender
-  | "strom-yemini" | "sy" -> Some Sy
-  | "checkpoint-only" | "cpo" -> Some Cpo
-  | "coordinated" | "koo-toueg" | "koo" -> Some Koo
-  | _ -> None
-
-let all_protocols = [ Dg; Pessimist; Sender; Sy; Cpo; Koo ]
-
-(* The sanitizer rules a protocol's live traces are expected to satisfy:
-   the full offline battery for the core protocol, each baseline's
-   declared subset otherwise. (Online-only rules need the ground-truth
-   oracle and cannot run over a merged trace.) *)
-let live_check_rules = function
-  | Dg -> Check.offline_ids
-  | Pessimist -> Pessimistic.check_rules
-  | Sender -> Sender_based.check_rules
-  | Sy -> Strom_yemini.check_rules
-  | Cpo -> Checkpoint_only.check_rules
-  | Koo -> Coordinated.check_rules
+let all_protocols = Registry.live_protocols
+let live_check_rules = Registry.live_check_rules
 
 type telemetry = Off | Ring | Full
 
 let telemetry_name = function Off -> "off" | Ring -> "ring" | Full -> "full"
-
-let telemetry_of_string = function
-  | "off" -> Some Off
-  | "ring" -> Some Ring
-  | "full" -> Some Full
-  | _ -> None
 
 type cfg = {
   dir : string;
@@ -77,12 +39,6 @@ type cfg = {
       (** [None] = the classic single-host UDS mesh built from [dir],
           [faults] and [seed]; [Some f] = an alternative fabric (the
           cluster's TCP link). *)
-}
-
-type outcome = {
-  counters : (string * int) list;
-  digest : int;
-  epoch : int;
 }
 
 let trace_file ~dir ~me ~gen =
@@ -122,18 +78,18 @@ let open_trace cfg =
              flush oc));
       (tracer, Some oc)
 
-let write_stats cfg ~net_stats ~store_stats outcome =
+let write_stats cfg ~net_stats ~store_stats ~counters ~digest ~epoch =
   let kv l = List.map (fun (k, v) -> (k, Json.Int v)) l in
   let j =
     Json.Obj
       [
         ("pid", Json.Int cfg.me);
         ("gen", Json.Int cfg.gen);
-        ("protocol", Json.String (protocol_name cfg.protocol));
+        ("protocol", Json.String (Registry.name cfg.protocol));
         ("telemetry", Json.String (telemetry_name cfg.telemetry));
-        ("epoch", Json.Int outcome.epoch);
-        ("digest", Json.Int outcome.digest);
-        ("counters", Json.Obj (kv outcome.counters));
+        ("epoch", Json.Int epoch);
+        ("digest", Json.Int digest);
+        ("counters", Json.Obj (kv counters));
         ("net", Json.Obj (kv net_stats));
         ("store", Json.Obj (kv store_stats));
       ]
@@ -172,15 +128,6 @@ let uid_gen cfg =
     incr seq;
     (((cfg.gen lsl 28) + !seq) * cfg.n) + cfg.me
 
-let live_dg_config =
-  {
-    Types.default_config with
-    checkpoint_interval = 1.0;
-    flush_interval = 0.25;
-    restart_delay = 0.3;
-    retransmit_lost = true;
-  }
-
 (* --- telemetry plumbing --- *)
 
 let snapshot_period = 0.5
@@ -195,25 +142,21 @@ let emit_snapshot cfg loop ~ver values =
         ver;
         clock = [||];
         kind =
-          Trace.Snapshot { protocol = protocol_name cfg.protocol; values };
+          Trace.Snapshot { protocol = Registry.name cfg.protocol; values };
       }
 
-(* Periodic metric snapshots, re-armed until the loop deadline drops the
-   pending timer. [ver] and [scope] are thunked because the snapshot
-   content must reflect the protocol state at fire time. *)
-let schedule_snapshots cfg loop ~ver scope =
+(* Periodic snapshots, re-armed until the loop deadline drops the
+   pending timer. [ver] and [values] are thunked because the snapshot
+   content must reflect the state at fire time. *)
+let schedule_snapshots cfg loop ~ver values =
   if Trace.enabled (Loop.tracer loop) then begin
     let rec tick () =
       emit_snapshot cfg loop ~ver:(ver ())
-        (("gen", float_of_int cfg.gen) :: Metrics.Scope.snapshot (scope ()));
+        (("gen", float_of_int cfg.gen) :: values ());
       Loop.schedule loop ~delay:snapshot_period tick
     in
     Loop.schedule loop ~delay:snapshot_period tick
   end
-
-let final_snapshot cfg loop ~ver scope =
-  emit_snapshot cfg loop ~ver
-    (("gen", float_of_int cfg.gen) :: Metrics.Scope.snapshot scope)
 
 (* Wrap the transport so every inbound datagram's protocol handling runs
    under a span. One span per message is cheap next to the syscall that
@@ -230,9 +173,10 @@ let span_transport sctx (net : 'a Transport.t) =
 
 (* One recovery record per restarted incarnation: wall-clock latency of
    the whole path (store reload -> process rebuild -> recover/replay),
-   plus what it cost. [depth] is the protocol's orphan-discard count
-   ("log_truncated"); a clean crash-replay recovery legitimately reports
-   0 — nothing that survived was rolled back. *)
+   plus what it cost. [depth] is the surviving work the protocol
+   discarded (see {!Protocol.S.recovery_profile}); a clean crash-replay
+   recovery legitimately reports 0 — nothing that survived was rolled
+   back. *)
 let emit_recovery cfg loop store ~ver ~latency ~replayed ~depth ~bytes_before =
   emit_snapshot cfg loop ~ver
     [
@@ -243,437 +187,35 @@ let emit_recovery cfg loop store ~ver ~latency ~replayed ~depth ~bytes_before =
       ("recovery.rollback_depth", float_of_int depth);
     ]
 
-let run_dg cfg loop sctx net store =
-  let app = Traffic.app ~n:cfg.n cfg.pattern in
+(* The stable store every protocol writes through, each write under a
+   span. *)
+let stable_store sctx store =
   let span name f = Span.with_ sctx name f in
-  let stable =
-    {
-      Process.log_appended =
-        (fun entries ->
-          span "store.log_flush" (fun () ->
-              List.iter (Store.append_log store) entries));
-      log_truncated =
-        (fun ~stable ->
-          span "store.truncate" (fun () -> Store.truncate_log store ~stable));
-      checkpoint_recorded =
-        (fun ~position cp ->
-          span "store.checkpoint" (fun () ->
-              Store.append_checkpoint store ~position cp));
-      checkpoints_discarded_after =
-        (fun ~position -> Store.discard_checkpoints_after store ~position);
-      tokens_logged =
-        (fun tokens ->
-          span "store.tokens" (fun () -> Store.write_tokens store tokens));
-    }
-  in
-  let recovering = cfg.gen > 0 in
-  let rec_span = if recovering then Some (Span.start sctx "recovery") else None in
-  let bytes_before = Store.bytes_read store in
-  let restore =
-    if not recovering then None
-    else
-      Some
-        {
-          Process.im_log = Store.load_log store;
-          im_checkpoints = Store.load_checkpoints store;
-          im_tokens = Store.load_tokens store;
-        }
-  in
-  let p =
-    Process.create_rt ~rt:(Loop.runtime loop)
-      ~net:(span_transport sctx net)
-      ~app ~id:cfg.me ~n:cfg.n ~config:live_dg_config ~stable ?restore
-      ~next_uid:(uid_gen cfg) ()
-  in
-  Span.set_version sctx (fun () -> Process.version p);
-  Store.write_gen store cfg.gen;
-  (match rec_span with
-  | None -> ()
-  | Some sp ->
-      Process.recover p;
-      let latency = Span.finish sctx sp in
-      let m = Process.metrics p in
-      emit_recovery cfg loop store ~ver:(Process.version p) ~latency
-        ~replayed:(Metrics.Scope.get m "replayed")
-        ~depth:(Metrics.Scope.get m "log_truncated")
-        ~bytes_before);
-  schedule_snapshots cfg loop
-    ~ver:(fun () -> Process.version p)
-    (fun () -> Process.metrics p);
-  schedule_injections cfg loop (Process.inject p);
-  Loop.run loop ~until:(cfg.duration +. cfg.settle);
-  Process.flush_now p;
-  final_snapshot cfg loop ~ver:(Process.version p) (Process.metrics p);
   {
-    counters = Process.counters p;
-    digest = Traffic.digest (Process.state p);
-    epoch = Process.version p;
+    Protocol.append_log =
+      (fun entries ->
+        span "store.log_flush" (fun () ->
+            List.iter (Store.append_log store) entries));
+    truncate_log =
+      (fun ~stable ->
+        span "store.truncate" (fun () -> Store.truncate_log store ~stable));
+    append_checkpoint =
+      (fun ~position c ->
+        span "store.checkpoint" (fun () ->
+            Store.append_checkpoint store ~position c));
+    discard_checkpoints_after =
+      (fun ~position -> Store.discard_checkpoints_after store ~position);
+    write_tokens =
+      (fun tokens ->
+        span "store.tokens" (fun () -> Store.write_tokens store tokens));
+    write_gen = Store.write_gen store;
+    load_log = (fun () -> Store.load_log store);
+    load_checkpoints = (fun () -> Store.load_checkpoints store);
+    load_tokens = (fun () -> Store.load_tokens store);
+    load_gen = (fun () -> Store.load_gen store);
   }
 
-let live_pessimist_config =
-  {
-    Pessimistic.default_config with
-    sync_write_latency = 0.002;
-    checkpoint_interval = 1.0;
-    restart_delay = 0.3;
-  }
-
-let run_pessimist cfg loop sctx net store =
-  let app = Traffic.app ~n:cfg.n cfg.pattern in
-  let span name f = Span.with_ sctx name f in
-  let stable =
-    {
-      Pessimistic.log_appended =
-        (fun entries ->
-          span "store.log_flush" (fun () ->
-              List.iter (Store.append_log store) entries));
-      checkpoint_recorded =
-        (fun ~position s ->
-          span "store.checkpoint" (fun () ->
-              Store.append_checkpoint store ~position s));
-      epoch_recorded = (fun epoch -> Store.write_gen store epoch);
-    }
-  in
-  let recovering = cfg.gen > 0 in
-  let rec_span = if recovering then Some (Span.start sctx "recovery") else None in
-  let bytes_before = Store.bytes_read store in
-  let restore =
-    if not recovering then None
-    else
-      Some
-        {
-          Pessimistic.im_log = Store.load_log store;
-          im_checkpoints = Store.load_checkpoints store;
-          im_epoch = Store.load_gen store;
-        }
-  in
-  let p =
-    Pessimistic.create_rt ~rt:(Loop.runtime loop)
-      ~net:(span_transport sctx net)
-      ~app ~id:cfg.me ~n:cfg.n ~config:live_pessimist_config ~stable ?restore
-      ~next_uid:(uid_gen cfg) ()
-  in
-  Span.set_version sctx (fun () -> cfg.gen);
-  (match rec_span with
-  | None -> ()
-  | Some sp ->
-      Pessimistic.recover p;
-      let latency = Span.finish sctx sp in
-      let m = Pessimistic.metrics p in
-      (* The pessimistic baseline never rolls surviving state back. *)
-      emit_recovery cfg loop store ~ver:cfg.gen ~latency
-        ~replayed:(Metrics.Scope.get m "replayed")
-        ~depth:0 ~bytes_before);
-  schedule_snapshots cfg loop
-    ~ver:(fun () -> cfg.gen)
-    (fun () -> Pessimistic.metrics p);
-  schedule_injections cfg loop (Pessimistic.inject p);
-  Loop.run loop ~until:(cfg.duration +. cfg.settle);
-  final_snapshot cfg loop ~ver:cfg.gen (Pessimistic.metrics p);
-  {
-    counters = Pessimistic.counters p;
-    digest = Traffic.digest (Pessimistic.state p);
-    epoch = Store.load_gen store;
-  }
-
-let live_sender_config =
-  { Sender_based.checkpoint_interval = 1.0; restart_delay = 0.3 }
-
-let run_sender cfg loop sctx net store =
-  let app = Traffic.app ~n:cfg.n cfg.pattern in
-  let span name f = Span.with_ sctx name f in
-  let stable =
-    {
-      Sender_based.checkpoint_recorded =
-        (fun ~position ck ->
-          span "store.checkpoint" (fun () ->
-              Store.append_checkpoint store ~position ck));
-      epoch_recorded = (fun epoch -> Store.write_gen store epoch);
-    }
-  in
-  let recovering = cfg.gen > 0 in
-  let rec_span = if recovering then Some (Span.start sctx "recovery") else None in
-  let bytes_before = Store.bytes_read store in
-  let restore =
-    if not recovering then None
-    else
-      Some
-        {
-          Sender_based.im_checkpoints = Store.load_checkpoints store;
-          im_epoch = Store.load_gen store;
-        }
-  in
-  let p =
-    Sender_based.create_rt ~rt:(Loop.runtime loop)
-      ~net:(span_transport sctx net)
-      ~app ~id:cfg.me ~n:cfg.n ~config:live_sender_config ~stable ?restore
-      ~next_uid:(uid_gen cfg) ()
-  in
-  Span.set_version sctx (fun () -> cfg.gen);
-  (match rec_span with
-  | None -> ()
-  | Some sp ->
-      Sender_based.recover p;
-      let latency = Span.finish sctx sp in
-      let m = Sender_based.metrics p in
-      (* Retransmissions arrive asynchronously after the broadcast, so
-         [replayed] here counts only what was in by the time recover
-         returned; peers never roll back (depth 0). *)
-      emit_recovery cfg loop store ~ver:cfg.gen ~latency
-        ~replayed:(Metrics.Scope.get m "replayed")
-        ~depth:0 ~bytes_before);
-  schedule_snapshots cfg loop
-    ~ver:(fun () -> cfg.gen)
-    (fun () -> Sender_based.metrics p);
-  schedule_injections cfg loop (Sender_based.inject p);
-  Loop.run loop ~until:(cfg.duration +. cfg.settle);
-  final_snapshot cfg loop ~ver:cfg.gen (Sender_based.metrics p);
-  {
-    counters = Sender_based.counters p;
-    digest = Traffic.digest (Sender_based.state p);
-    epoch = Store.load_gen store;
-  }
-
-let live_sy_config =
-  {
-    Strom_yemini.checkpoint_interval = 1.0;
-    flush_interval = 0.25;
-    restart_delay = 0.3;
-  }
-
-let run_sy cfg loop sctx net store =
-  let app = Traffic.app ~n:cfg.n cfg.pattern in
-  let span name f = Span.with_ sctx name f in
-  (* The announcement table is small and rewritten whole on every change
-     (the tokens file is a single-blob slot, like D-G's token log). *)
-  let announcements = ref (Store.load_tokens store : Strom_yemini.announcement list) in
-  let stable =
-    {
-      Strom_yemini.log_flushed =
-        (fun entries ->
-          span "store.log_flush" (fun () ->
-              List.iter (Store.append_log store) entries));
-      log_truncated =
-        (fun stop ->
-          span "store.truncate" (fun () -> Store.truncate_log store ~stable:stop));
-      checkpoint_recorded =
-        (fun ~position cp ->
-          span "store.checkpoint" (fun () ->
-              Store.append_checkpoint store ~position cp));
-      checkpoints_discarded_after =
-        (fun ~position -> Store.discard_checkpoints_after store ~position);
-      announcement_recorded =
-        (fun a ->
-          announcements := a :: !announcements;
-          span "store.tokens" (fun () ->
-              Store.write_tokens store !announcements));
-    }
-  in
-  let recovering = cfg.gen > 0 in
-  let rec_span = if recovering then Some (Span.start sctx "recovery") else None in
-  let bytes_before = Store.bytes_read store in
-  let restore =
-    if not recovering then None
-    else
-      Some
-        {
-          Strom_yemini.im_log = Store.load_log store;
-          im_checkpoints = Store.load_checkpoints store;
-          im_announcements = !announcements;
-        }
-  in
-  let p =
-    Strom_yemini.create_rt ~rt:(Loop.runtime loop)
-      ~net:(span_transport sctx net)
-      ~app ~id:cfg.me ~n:cfg.n ~config:live_sy_config ~stable ?restore
-      ~next_uid:(uid_gen cfg) ()
-  in
-  Span.set_version sctx (fun () -> Strom_yemini.incarnation p);
-  Store.write_gen store cfg.gen;
-  (match rec_span with
-  | None -> ()
-  | Some sp ->
-      Strom_yemini.recover p;
-      let latency = Span.finish sctx sp in
-      let m = Strom_yemini.metrics p in
-      emit_recovery cfg loop store
-        ~ver:(Strom_yemini.incarnation p)
-        ~latency
-        ~replayed:(Metrics.Scope.get m "replayed")
-        ~depth:(Metrics.Scope.get m "log_truncated")
-        ~bytes_before);
-  schedule_snapshots cfg loop
-    ~ver:(fun () -> Strom_yemini.incarnation p)
-    (fun () -> Strom_yemini.metrics p);
-  schedule_injections cfg loop (Strom_yemini.inject p);
-  Loop.run loop ~until:(cfg.duration +. cfg.settle);
-  final_snapshot cfg loop
-    ~ver:(Strom_yemini.incarnation p)
-    (Strom_yemini.metrics p);
-  {
-    counters = Strom_yemini.counters p;
-    digest = Traffic.digest (Strom_yemini.state p);
-    epoch = Strom_yemini.incarnation p;
-  }
-
-let live_cpo_config =
-  { Checkpoint_only.checkpoint_interval = 1.0; restart_delay = 0.3 }
-
-let run_cpo cfg loop sctx net store =
-  let app = Traffic.app ~n:cfg.n cfg.pattern in
-  let span name f = Span.with_ sctx name f in
-  let stable =
-    {
-      Checkpoint_only.checkpoint_recorded =
-        (fun ~position cp ->
-          span "store.checkpoint" (fun () ->
-              Store.append_checkpoint store ~position cp));
-      checkpoints_discarded_after =
-        (fun ~position -> Store.discard_checkpoints_after store ~position);
-      aux_recorded =
-        (fun aux ->
-          span "store.tokens" (fun () -> Store.write_tokens store [ aux ]));
-    }
-  in
-  let recovering = cfg.gen > 0 in
-  let rec_span = if recovering then Some (Span.start sctx "recovery") else None in
-  let bytes_before = Store.bytes_read store in
-  let restore =
-    if not recovering then None
-    else
-      let aux =
-        match (Store.load_tokens store : Checkpoint_only.aux list) with
-        | a :: _ -> a
-        | [] ->
-            {
-              Checkpoint_only.ax_epoch = 0;
-              ax_floor = Array.make cfg.n max_int;
-              ax_peer_epoch = Array.make cfg.n 0;
-            }
-      in
-      Some
-        {
-          Checkpoint_only.im_checkpoints = Store.load_checkpoints store;
-          im_aux = aux;
-        }
-  in
-  let p =
-    Checkpoint_only.create_rt ~rt:(Loop.runtime loop)
-      ~net:(span_transport sctx net)
-      ~app ~id:cfg.me ~n:cfg.n ~config:live_cpo_config ~stable ?restore
-      ~next_uid:(uid_gen cfg) ()
-  in
-  Span.set_version sctx (fun () -> cfg.gen);
-  Store.write_gen store cfg.gen;
-  (match rec_span with
-  | None -> ()
-  | Some sp ->
-      Checkpoint_only.recover p;
-      let latency = Span.finish sctx sp in
-      let m = Checkpoint_only.metrics p in
-      (* No log, so nothing replays; the cost is the work forfeited. *)
-      emit_recovery cfg loop store ~ver:cfg.gen ~latency ~replayed:0
-        ~depth:(Metrics.Scope.get m "lost_states")
-        ~bytes_before);
-  schedule_snapshots cfg loop
-    ~ver:(fun () -> cfg.gen)
-    (fun () -> Checkpoint_only.metrics p);
-  schedule_injections cfg loop (Checkpoint_only.inject p);
-  Loop.run loop ~until:(cfg.duration +. cfg.settle);
-  final_snapshot cfg loop ~ver:cfg.gen (Checkpoint_only.metrics p);
-  {
-    counters = Checkpoint_only.counters p;
-    digest = Traffic.digest (Checkpoint_only.state p);
-    epoch = Store.load_gen store;
-  }
-
-let live_koo_config =
-  { Coordinated.checkpoint_interval = 1.0; restart_delay = 0.3 }
-
-let run_koo cfg loop sctx net store =
-  let app = Traffic.app ~n:cfg.n cfg.pattern in
-  let span name f = Span.with_ sctx name f in
-  let stable =
-    {
-      Coordinated.snapshot_committed =
-        (fun sn ->
-          span "store.checkpoint" (fun () ->
-              Store.append_checkpoint store ~position:sn.Coordinated.sn_round sn));
-      aux_recorded =
-        (fun aux ->
-          span "store.tokens" (fun () -> Store.write_tokens store [ aux ]));
-    }
-  in
-  let recovering = cfg.gen > 0 in
-  let rec_span = if recovering then Some (Span.start sctx "recovery") else None in
-  let bytes_before = Store.bytes_read store in
-  let restore =
-    if not recovering then None
-    else
-      let committed =
-        match Store.load_checkpoints store with
-        | (sn, _) :: _ -> sn
-        | [] -> { Coordinated.sn_state = app.Types.init cfg.me; sn_round = 0 }
-      in
-      let aux =
-        match (Store.load_tokens store : Coordinated.aux list) with
-        | a :: _ -> a
-        | [] ->
-            {
-              Coordinated.ax_epoch = 0;
-              ax_peer_epoch = Array.make cfg.n 0;
-              ax_round = 0;
-            }
-      in
-      Some { Coordinated.im_committed = committed; im_aux = aux }
-  in
-  let p =
-    Coordinated.create_rt ~rt:(Loop.runtime loop)
-      ~net:(span_transport sctx net)
-      ~app ~id:cfg.me ~n:cfg.n ~config:live_koo_config ~stable ?restore
-      ~next_uid:(uid_gen cfg) ()
-  in
-  Span.set_version sctx (fun () -> cfg.gen);
-  Store.write_gen store cfg.gen;
-  (match rec_span with
-  | None -> ()
-  | Some sp ->
-      Coordinated.recover p;
-      let latency = Span.finish sctx sp in
-      let m = Coordinated.metrics p in
-      emit_recovery cfg loop store ~ver:cfg.gen ~latency ~replayed:0
-        ~depth:(Metrics.Scope.get m "lost_states")
-        ~bytes_before);
-  schedule_snapshots cfg loop
-    ~ver:(fun () -> cfg.gen)
-    (fun () -> Coordinated.metrics p);
-  schedule_injections cfg loop (Coordinated.inject p);
-  Loop.run loop ~until:(cfg.duration +. cfg.settle);
-  final_snapshot cfg loop ~ver:cfg.gen (Coordinated.metrics p);
-  {
-    counters = Coordinated.counters p;
-    digest = Traffic.digest (Coordinated.state p);
-    epoch = Store.load_gen store;
-  }
-
-(* Wire-level telemetry rides the same Snapshot machinery as protocol
-   metrics, in separate link.*-valued records: the recovery profiler
-   keys on "delivered"/"recovery.*" and ignores them, while the bench
-   and dashboards get per-link byte/frame/reconnect series for free. *)
-let schedule_link_snapshots cfg loop (link : _ Link.t) =
-  if Trace.enabled (Loop.tracer loop) then begin
-    let rec tick () =
-      emit_snapshot cfg loop ~ver:cfg.gen
-        (("gen", float_of_int cfg.gen) :: link.Link.snapshot ());
-      Loop.schedule loop ~delay:snapshot_period tick
-    in
-    Loop.schedule loop ~delay:snapshot_period tick
-  end
-
-(* Each protocol branch builds its own link so the transport's payload
-   type is fixed per branch (DG and the pessimistic baseline have
-   different wire types). *)
-let with_net cfg loop run =
+let run (module P : Protocol.S) cfg loop sctx =
   let factory =
     match cfg.link with
     | Some f -> f
@@ -691,39 +233,70 @@ let with_net cfg loop run =
       (Printf.sprintf "worker %d: peers did not appear within 10s" cfg.me);
     exit 1);
   let store = Store.open_ (store_dir ~dir:cfg.dir ~me:cfg.me) in
-  schedule_link_snapshots cfg loop link;
-  let outcome = run link.Link.transport store in
+  (* Wire-level telemetry rides the same Snapshot machinery as protocol
+     metrics, in separate link.*-valued records: the recovery profiler
+     keys on "delivered"/"recovery.*" and ignores them, while the bench
+     and dashboards get per-link byte/frame/reconnect series for free. *)
+  schedule_snapshots cfg loop ~ver:(fun () -> cfg.gen) link.Link.snapshot;
+  let rec_span =
+    if cfg.gen > 0 then Some (Span.start sctx "recovery") else None
+  in
+  let bytes_before = Store.bytes_read store in
+  let p =
+    P.create_rt ~rt:(Loop.runtime loop)
+      ~net:(span_transport sctx link.Link.transport)
+      ~app:(Traffic.app ~n:cfg.n cfg.pattern)
+      ~id:cfg.me ~n:cfg.n ~gen:cfg.gen ~store:(stable_store sctx store)
+      ~next_uid:(uid_gen cfg) ()
+  in
+  let ver () = Option.value (P.incarnation p) ~default:cfg.gen in
+  Span.set_version sctx ver;
+  Option.iter
+    (fun sp ->
+      P.recover p;
+      let latency = Span.finish sctx sp in
+      let replayed, depth = P.recovery_profile p in
+      emit_recovery cfg loop store ~ver:(ver ()) ~latency ~replayed ~depth
+        ~bytes_before)
+    rec_span;
+  schedule_snapshots cfg loop ~ver (fun () ->
+      Metrics.Scope.snapshot (P.metrics p));
+  schedule_injections cfg loop (P.inject p);
+  Loop.run loop ~until:(cfg.duration +. cfg.settle);
+  P.finish p;
+  emit_snapshot cfg loop ~ver:(ver ())
+    (("gen", float_of_int cfg.gen) :: Metrics.Scope.snapshot (P.metrics p));
+  let epoch =
+    match P.incarnation p with Some v -> v | None -> Store.load_gen store
+  in
   emit_snapshot cfg loop ~ver:cfg.gen
     (("gen", float_of_int cfg.gen) :: link.Link.snapshot ());
   write_stats cfg
     ~net_stats:(link.Link.stats ())
-    ~store_stats:(Store.stats store) outcome;
+    ~store_stats:(Store.stats store) ~counters:(P.counters p)
+    ~digest:(Traffic.digest (P.state p)) ~epoch;
   Store.close store;
   link.Link.close ()
 
 let main cfg =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  (* Strom-Yemini assumes FIFO channels; zero jitter keeps the datagram
-     mesh order-preserving enough for the assumption to hold in practice
-     (kernel AF_UNIX queues are FIFO per socket pair). *)
+  let impl =
+    match Registry.live cfg.protocol with
+    | Ok impl -> impl
+    | Error msg -> invalid_arg msg
+  in
+  (* A FIFO-assuming protocol runs jitter-free: zero jitter keeps the
+     datagram mesh order-preserving enough for the assumption to hold in
+     practice (kernel AF_UNIX queues are FIFO per socket pair). *)
   let cfg =
-    match cfg.protocol with
-    | Sy -> { cfg with jitter = (0.0, 0.0) }
-    | _ -> cfg
+    if Registry.fifo cfg.protocol then { cfg with jitter = (0.0, 0.0) }
+    else cfg
   in
   let tracer, trace_oc = open_trace cfg in
   let loop = Loop.create ~tracer ~base:cfg.base () in
   let sctx =
     Span.create ~tracer ~now:(fun () -> Loop.now loop) ~pid:cfg.me ()
   in
-  (match cfg.protocol with
-  | Dg -> with_net cfg loop (fun net store -> run_dg cfg loop sctx net store)
-  | Pessimist ->
-      with_net cfg loop (fun net store -> run_pessimist cfg loop sctx net store)
-  | Sender ->
-      with_net cfg loop (fun net store -> run_sender cfg loop sctx net store)
-  | Sy -> with_net cfg loop (fun net store -> run_sy cfg loop sctx net store)
-  | Cpo -> with_net cfg loop (fun net store -> run_cpo cfg loop sctx net store)
-  | Koo -> with_net cfg loop (fun net store -> run_koo cfg loop sctx net store));
+  run impl cfg loop sctx;
   Trace.close tracer;
   Option.iter close_out_noerr trace_oc

@@ -1,37 +1,30 @@
 (** One live worker process: the protocol stack a forked child runs.
 
-    A worker assembles the shared protocol code from [lib/core] (or a
-    baseline from [lib/protocols]) on top of the live substrate:
-    {!Loop} as the {!Optimist_core.Transport.runtime}, {!Livenet} as
-    the transport, {!Store} behind the stable hooks, and a
-    per-incarnation JSONL trace file. Incarnation [gen = 0] starts
-    fresh; [gen > 0] (a supervisor respawn after a SIGKILL) reloads the
-    persisted image and runs the protocol's [recover] — the paper's
-    Restart over real stable storage. *)
+    A worker runs the protocol's live implementation from
+    {!Optimist_protocols.Registry} on top of the live substrate: {!Loop}
+    as the {!Optimist_core.Transport.runtime}, a {!Link} as the
+    transport, {!Store} behind the stable hooks, and a per-incarnation
+    JSONL trace file. Incarnation [gen = 0] starts fresh; [gen > 0] (a
+    supervisor respawn after a SIGKILL) reloads the persisted image and
+    runs the protocol's [recover] — the paper's Restart over real stable
+    storage. *)
 
 module Traffic = Optimist_workload.Traffic
 
-type protocol =
-  | Dg  (** Damani-Garg, the paper's protocol *)
-  | Pessimist  (** pessimistic (synchronous) logging *)
-  | Sender  (** sender-based logging, Johnson-Zwaenepoel *)
-  | Sy  (** Strom-Yemini optimistic recovery *)
-  | Cpo  (** uncoordinated checkpointing, no log (domino) *)
-  | Koo  (** coordinated checkpointing, Koo-Toueg *)
+include module type of struct
+  include Optimist_protocols.Registry.Ids
+end
 
-val protocol_name : protocol -> string
-
-val protocol_of_string : string -> protocol option
-(** Accepts the canonical names plus aliases ([damani-garg], [sender],
-    [sb], [sy], [cpo], [koo], [koo-toueg], [pessimistic]). *)
+type protocol = id
+(** The registry's protocol enum, re-exported. *)
 
 val all_protocols : protocol list
-(** Every protocol the live runtime can host, [Dg] first. *)
+(** Every protocol the live runtime can host, [Dg] first
+    ({!Optimist_protocols.Registry.live_protocols}). *)
 
 val live_check_rules : protocol -> string list
-(** The sanitizer rules this protocol's merged live trace is expected to
-    satisfy: the full battery for [Dg], the baseline's declared
-    [check_rules] subset otherwise. *)
+(** {!Optimist_protocols.Registry.live_check_rules}: the rules a merged
+    live trace is linted against. *)
 
 type telemetry =
   | Off  (** null recorder: instrumentation short-circuits *)
@@ -39,7 +32,6 @@ type telemetry =
   | Full  (** per-incarnation JSONL trace file (the default) *)
 
 val telemetry_name : telemetry -> string
-val telemetry_of_string : string -> telemetry option
 
 type cfg = {
   dir : string;  (** run directory: sockets, stores, traces *)
@@ -76,4 +68,5 @@ val store_dir : dir:string -> me:int -> string
 val main : cfg -> unit
 (** Run the worker to its deadline and write the stats file. Blocks;
     meant to be the body of a forked child. Exits 1 if the peer sockets
-    do not appear. *)
+    do not appear; raises [Invalid_argument] for a protocol without a
+    live implementation. *)

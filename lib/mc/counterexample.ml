@@ -1,6 +1,6 @@
 module Json = Optimist_obs.Json
 module Trace = Optimist_obs.Trace
-module Runner = Optimist_runner.Runner
+module Registry = Optimist_protocols.Registry
 
 (* A counterexample is a (configuration, decision sequence) pair —
    everything needed to re-run the violating schedule on a fresh
@@ -33,7 +33,7 @@ let to_json cx =
     [
       ("version", Json.Int 1);
       ("kind", Json.String "mc-counterexample");
-      ("protocol", Json.String (Runner.protocol_name cx.cx_cfg.Model.protocol));
+      ("protocol", Json.String (Registry.name cx.cx_cfg.Model.protocol));
       ("mutation", Json.String cx.cx_cfg.Model.mutation);
       ("procs", Json.Int cx.cx_cfg.Model.n);
       ("msgs", Json.Int cx.cx_cfg.Model.msgs);
@@ -78,7 +78,7 @@ let rec decisions_of_json = function
 let of_json j =
   let* protocol_name = field "protocol" Json.string_value j in
   let* protocol =
-    match Runner.protocol_of_string protocol_name with
+    match Registry.of_string protocol_name with
     | Some p -> Ok p
     | None ->
         Error (Printf.sprintf "counterexample: unknown protocol %S" protocol_name)

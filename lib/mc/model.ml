@@ -8,13 +8,9 @@ module Process = Optimist_core.Process
 module Oracle = Optimist_oracle.Oracle
 module Traffic = Optimist_workload.Traffic
 module Check = Optimist_check.Check
-module Runner = Optimist_runner.Runner
+module Protocol = Optimist_core.Protocol
+module Registry = Optimist_protocols.Registry
 module Pessimistic = Optimist_protocols.Pessimistic
-module Sender_based = Optimist_protocols.Sender_based
-module Strom_yemini = Optimist_protocols.Strom_yemini
-module Peterson_kearns = Optimist_protocols.Peterson_kearns
-module Checkpoint_only = Optimist_protocols.Checkpoint_only
-module Coordinated = Optimist_protocols.Coordinated
 
 (* A model-checking configuration: one small protocol instance plus a
    traffic script and a crash budget. Everything the checker explores is
@@ -22,7 +18,7 @@ module Coordinated = Optimist_protocols.Coordinated
    randomness — so a (cfg, decision sequence) pair fully identifies an
    execution and can be serialized as a counterexample. *)
 type cfg = {
-  protocol : Runner.protocol;
+  protocol : Registry.id;
   n : int;  (** processes, ids [0, n) *)
   msgs : int;  (** app messages injected at t=0, round-robin over pids *)
   hops : int;  (** forwarding hops per injected message *)
@@ -31,12 +27,12 @@ type cfg = {
 }
 
 let default_cfg =
-  { protocol = Runner.Damani_garg; n = 3; msgs = 2; hops = 2; crashes = 1;
+  { protocol = Registry.Dg; n = 3; msgs = 2; hops = 2; crashes = 1;
     mutation = "" }
 
 type mutant = {
   mu_name : string;
-  mu_protocol : Runner.protocol;
+  mu_protocol : Registry.id;
   mu_rule : string;  (** the sanitizer rule the mutant must trip *)
   mu_doc : string;
 }
@@ -47,17 +43,17 @@ type mutant = {
    so a replayed counterexample trace also fails [recsim check --strict]. *)
 let mutants =
   [
-    { mu_name = "skip-piggyback"; mu_protocol = Runner.Damani_garg;
+    { mu_name = "skip-piggyback"; mu_protocol = Registry.Dg;
       mu_rule = "OPT004";
       mu_doc = "process 0 sends a zeroed FTVC on the 0->1 edge" };
-    { mu_name = "skip-dedup"; mu_protocol = Runner.Damani_garg;
+    { mu_name = "skip-dedup"; mu_protocol = Registry.Dg;
       mu_rule = "OPT003";
       mu_doc = "duplicate-uid suppression disabled (explored under a \
                 duplicating network)" };
-    { mu_name = "eager-rollback"; mu_protocol = Runner.Damani_garg;
+    { mu_name = "eager-rollback"; mu_protocol = Registry.Dg;
       mu_rule = "OPT011";
       mu_doc = "rolls back on every token, detected orphan or not" };
-    { mu_name = "ack-before-fsync"; mu_protocol = Runner.Pessimistic;
+    { mu_name = "ack-before-fsync"; mu_protocol = Registry.Pessimist;
       mu_rule = "OPT013";
       mu_doc = "pessimistic logger delivers before the entry is stable" };
   ]
@@ -77,8 +73,8 @@ let validate cfg =
           invalid_arg
             (Printf.sprintf "Model: mutation %S applies to %s, not %s"
                cfg.mutation
-               (Runner.protocol_name m.mu_protocol)
-               (Runner.protocol_name cfg.protocol))
+               (Registry.name m.mu_protocol)
+               (Registry.name cfg.protocol))
 
 (* One rebuildable execution of the configuration. The checker replays
    decisions against a fresh instance for every explored schedule
@@ -136,6 +132,16 @@ let violation_string (v : Check.violation) =
 let inject_label pid = { Engine.l_kind = "inject"; l_pid = pid; l_src = -1;
                          l_info = "" }
 
+(* A recorder feeding the protocol's sanitizer rules (and [sink]). *)
+let monitored_trace ?sink cfg =
+  let trace = Trace.create () in
+  let monitor =
+    Check.Monitor.create ~rules:(Registry.check_rules cfg.protocol) ()
+  in
+  Trace.attach trace (Check.Monitor.sink monitor);
+  Option.iter (Trace.attach trace) sink;
+  (trace, monitor)
+
 let build_damani ?sink cfg ~hold =
   let mutation =
     match cfg.mutation with
@@ -147,12 +153,7 @@ let build_damani ?sink cfg ~hold =
   in
   let dup = if mutation = Types.M_skip_dedup then 1.0 else 0.0 in
   let oracle = Oracle.create ~n:cfg.n in
-  let trace = Trace.create () in
-  let monitor =
-    Check.Monitor.create ~rules:(Runner.check_rules cfg.protocol) ()
-  in
-  Trace.attach trace (Check.Monitor.sink monitor);
-  (match sink with Some s -> Trace.attach trace s | None -> ());
+  let trace, monitor = monitored_trace ?sink cfg in
   let sys =
     System.create ~seed:1L ~net_config:(mc_net_config ~n:cfg.n ~dup)
       ~config:(mc_dg_config ~hold ~mutation) ~tracer:(Oracle.tracer oracle)
@@ -196,30 +197,13 @@ let build_damani ?sink cfg ~hold =
         sanitizer @ ground_truth);
   }
 
-(* Baselines share the runner's uniform protocol surface; only the
-   per-module closures differ. *)
-let build_baseline (type w p) ?sink cfg ~name
-    ~(make_net : Engine.t -> Network.config -> w)
-    ~(create :
-       engine:Engine.t ->
-       net:w ->
-       app:(Traffic.state, Traffic.msg) Types.app ->
-       id:int ->
-       n:int ->
-       metrics:Metrics.Scope.t ->
-       next_uid:(unit -> int) ->
-       unit ->
-       p) ~(inject : p -> Traffic.msg -> unit) ~(fail : p -> unit)
-    ~(alive : p -> bool) ~(state : p -> Traffic.state) =
+(* Baselines share one sim surface; only the module differs. *)
+let build_baseline ?sink cfg ~name sim =
+  let module P = (val sim : Protocol.SIM) in
   let engine = Engine.create ~seed:1L () in
-  let trace = Trace.create () in
-  let monitor =
-    Check.Monitor.create ~rules:(Runner.check_rules cfg.protocol) ()
-  in
-  Trace.attach trace (Check.Monitor.sink monitor);
-  (match sink with Some s -> Trace.attach trace s | None -> ());
+  let trace, monitor = monitored_trace ?sink cfg in
   Engine.set_tracer engine trace;
-  let net = make_net engine (mc_net_config ~n:cfg.n ~dup:0.0) in
+  let net = P.make_net engine (mc_net_config ~n:cfg.n ~dup:0.0) in
   let registry = Metrics.registry () in
   let uid = ref 0 in
   let next_uid () = incr uid; !uid in
@@ -229,74 +213,46 @@ let build_baseline (type w p) ?sink cfg ~name
         let metrics =
           Metrics.Scope.create ~registry ~protocol:name ~process:id ()
         in
-        create ~engine ~net ~app ~id ~n:cfg.n ~metrics ~next_uid ())
+        P.create ~engine ~net ~app ~id ~n:cfg.n ~metrics ~next_uid ())
   in
   for i = 0 to cfg.msgs - 1 do
     let pid = i mod cfg.n in
     let msg = Traffic.fresh ~key:(i + 1) ~hops:cfg.hops in
     ignore
       (Engine.schedule_at engine ~label:(inject_label pid) 0.0 (fun () ->
-           inject procs.(pid) msg))
+           P.inject procs.(pid) msg))
   done;
   {
     i_engine = engine;
-    i_alive = (fun pid -> alive procs.(pid));
-    i_crash = (fun pid -> fail procs.(pid));
+    i_alive = (fun pid -> P.alive procs.(pid));
+    i_crash = (fun pid -> P.fail procs.(pid));
     i_digest =
       (fun () ->
         Array.fold_left
-          (fun acc p -> Hashtbl.hash (acc, Traffic.digest (state p), alive p))
+          (fun acc p -> Hashtbl.hash (acc, Traffic.digest (P.state p), P.alive p))
           0 procs);
     i_finish =
       (fun () -> List.map violation_string (Check.Monitor.finish monitor));
   }
 
+(* The pessimistic baseline runs under the checker's short-period config,
+   which the ack-before-fsync mutant extends. *)
+let mc_sim cfg sim =
+  if cfg.protocol <> Registry.Pessimist then sim
+  else
+    (module struct
+      include Pessimistic
+
+      let create ~engine ~net ~app ~id ~n ?config:_ ?metrics ~next_uid () =
+        Pessimistic.create ~engine ~net ~app ~id ~n
+          ~config:(mc_pessimistic_config ~mutation:cfg.mutation)
+          ?metrics ~next_uid ()
+    end : Protocol.SIM)
+
 let build ?sink cfg =
   validate cfg;
-  match cfg.protocol with
-  | Runner.Damani_garg -> build_damani ?sink cfg ~hold:true
-  | Runner.Damani_garg_no_hold -> build_damani ?sink cfg ~hold:false
-  | Runner.Pessimistic ->
-      build_baseline ?sink cfg ~name:"pessimistic"
-        ~make_net:Pessimistic.make_net
-        ~create:(fun ~engine ~net ~app ~id ~n ~metrics ~next_uid () ->
-          Pessimistic.create ~engine ~net ~app ~id ~n
-            ~config:(mc_pessimistic_config ~mutation:cfg.mutation)
-            ~metrics ~next_uid ())
-        ~inject:Pessimistic.inject ~fail:Pessimistic.fail
-        ~alive:Pessimistic.alive ~state:Pessimistic.state
-  | Runner.Sender_based ->
-      build_baseline ?sink cfg ~name:"sender-based"
-        ~make_net:Sender_based.make_net
-        ~create:(fun ~engine ~net ~app ~id ~n ~metrics ~next_uid () ->
-          Sender_based.create ~engine ~net ~app ~id ~n ~metrics ~next_uid ())
-        ~inject:Sender_based.inject ~fail:Sender_based.fail
-        ~alive:Sender_based.alive ~state:Sender_based.state
-  | Runner.Strom_yemini ->
-      build_baseline ?sink cfg ~name:"strom-yemini"
-        ~make_net:Strom_yemini.make_net
-        ~create:(fun ~engine ~net ~app ~id ~n ~metrics ~next_uid () ->
-          Strom_yemini.create ~engine ~net ~app ~id ~n ~metrics ~next_uid ())
-        ~inject:Strom_yemini.inject ~fail:Strom_yemini.fail
-        ~alive:Strom_yemini.alive ~state:Strom_yemini.state
-  | Runner.Peterson_kearns ->
-      build_baseline ?sink cfg ~name:"peterson-kearns"
-        ~make_net:Peterson_kearns.make_net
-        ~create:(fun ~engine ~net ~app ~id ~n ~metrics ~next_uid () ->
-          Peterson_kearns.create ~engine ~net ~app ~id ~n ~metrics ~next_uid ())
-        ~inject:Peterson_kearns.inject ~fail:Peterson_kearns.fail
-        ~alive:Peterson_kearns.alive ~state:Peterson_kearns.state
-  | Runner.Checkpoint_only ->
-      build_baseline ?sink cfg ~name:"checkpoint-only"
-        ~make_net:Checkpoint_only.make_net
-        ~create:(fun ~engine ~net ~app ~id ~n ~metrics ~next_uid () ->
-          Checkpoint_only.create ~engine ~net ~app ~id ~n ~metrics ~next_uid ())
-        ~inject:Checkpoint_only.inject ~fail:Checkpoint_only.fail
-        ~alive:Checkpoint_only.alive ~state:Checkpoint_only.state
-  | Runner.Coordinated ->
-      build_baseline ?sink cfg ~name:"coordinated"
-        ~make_net:Coordinated.make_net
-        ~create:(fun ~engine ~net ~app ~id ~n ~metrics ~next_uid () ->
-          Coordinated.create ~engine ~net ~app ~id ~n ~metrics ~next_uid ())
-        ~inject:Coordinated.inject ~fail:Coordinated.fail
-        ~alive:Coordinated.alive ~state:Coordinated.state
+  let e = Registry.entry cfg.protocol in
+  match e.Registry.sim with
+  | Registry.System { hold } -> build_damani ?sink cfg ~hold
+  | Registry.Sim sim ->
+      build_baseline ?sink cfg ~name:e.Registry.name (mc_sim cfg sim)

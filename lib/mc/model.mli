@@ -3,10 +3,10 @@
 
 module Engine = Optimist_sim.Engine
 module Trace = Optimist_obs.Trace
-module Runner = Optimist_runner.Runner
+module Registry = Optimist_protocols.Registry
 
 type cfg = {
-  protocol : Runner.protocol;
+  protocol : Registry.id;
   n : int;  (** processes, ids [0, n) *)
   msgs : int;  (** app messages injected at t=0, round-robin over pids *)
   hops : int;  (** forwarding hops per injected message *)
@@ -19,7 +19,7 @@ val default_cfg : cfg
 
 type mutant = {
   mu_name : string;
-  mu_protocol : Runner.protocol;
+  mu_protocol : Registry.id;
   mu_rule : string;  (** the sanitizer rule the mutant must trip *)
   mu_doc : string;
 }

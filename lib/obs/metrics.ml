@@ -192,114 +192,6 @@ let pp ppf r =
     (scopes r);
   Format.fprintf ppf "@]"
 
-(* --- Prometheus text exposition --- *)
-
-let prom_name name =
-  let mangled =
-    String.map
-      (fun c ->
-        match c with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' -> c | _ -> '_')
-      name
-  in
-  "optimist_" ^ mangled
-
-let prom_float v =
-  if Float.is_integer v && Float.abs v < 1e15 then
-    Printf.sprintf "%.0f" v
-  else Printf.sprintf "%g" v
-
-let prom_labels (l : labels) extra =
-  let base =
-    [
-      ("protocol", l.protocol); ("process", string_of_int l.process);
-    ]
-  in
-  base @ extra
-  |> List.map (fun (k, v) -> Printf.sprintf "%s=%S" k v)
-  |> String.concat ","
-
-type prom_family = Prom_counter | Prom_gauge | Prom_summary | Prom_histogram
-
-let to_prom r =
-  let buf = Buffer.create 1024 in
-  let scopes = List.rev r.scopes_rev in
-  (* Families sorted by name so the output is deterministic; each TYPE
-     line is emitted once, followed by one sample (or bucket series) per
-     scope that owns the instrument, in registration order. *)
-  let families = Hashtbl.create 32 in
-  List.iter
-    (fun (s : S.t) ->
-      Hashtbl.iter (fun k _ -> Hashtbl.replace families k Prom_counter) s.S.counters;
-      Hashtbl.iter (fun k _ -> Hashtbl.replace families k Prom_gauge) s.S.gauges;
-      Hashtbl.iter (fun k _ -> Hashtbl.replace families k Prom_summary) s.S.summaries;
-      Hashtbl.iter
-        (fun k _ -> Hashtbl.replace families k Prom_histogram)
-        s.S.histograms)
-    scopes;
-  let sorted =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) families []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  let line name labels value =
-    Buffer.add_string buf
-      (Printf.sprintf "%s{%s} %s\n" name labels value)
-  in
-  List.iter
-    (fun (name, fam) ->
-      let pname = prom_name name in
-      let ty =
-        match fam with
-        | Prom_counter -> "counter"
-        | Prom_gauge -> "gauge"
-        | Prom_summary -> "summary"
-        | Prom_histogram -> "histogram"
-      in
-      Buffer.add_string buf (Printf.sprintf "# TYPE %s %s\n" pname ty);
-      List.iter
-        (fun (s : S.t) ->
-          let labels extra = prom_labels s.S.labels extra in
-          match fam with
-          | Prom_counter -> (
-              match Hashtbl.find_opt s.S.counters name with
-              | None -> ()
-              | Some v -> line pname (labels []) (string_of_int !v))
-          | Prom_gauge -> (
-              match Hashtbl.find_opt s.S.gauges name with
-              | None -> ()
-              | Some v -> line pname (labels []) (prom_float !v))
-          | Prom_summary -> (
-              match Hashtbl.find_opt s.S.summaries name with
-              | None -> ()
-              | Some summ ->
-                  line (pname ^ "_count") (labels [])
-                    (string_of_int (Stats.Summary.count summ));
-                  line (pname ^ "_sum") (labels [])
-                    (prom_float (Stats.Summary.total summ)))
-          | Prom_histogram -> (
-              match Hashtbl.find_opt s.S.histograms name with
-              | None -> ()
-              | Some h ->
-                  let bounds = Stats.Histogram.bounds h in
-                  let counts = Stats.Histogram.counts h in
-                  let acc = ref 0 in
-                  Array.iteri
-                    (fun i b ->
-                      acc := !acc + counts.(i);
-                      line (pname ^ "_bucket")
-                        (labels [ ("le", prom_float b) ])
-                        (string_of_int !acc))
-                    bounds;
-                  line (pname ^ "_bucket")
-                    (labels [ ("le", "+Inf") ])
-                    (string_of_int (Stats.Histogram.count h));
-                  line (pname ^ "_sum") (labels [])
-                    (prom_float (Stats.Histogram.sum h));
-                  line (pname ^ "_count") (labels [])
-                    (string_of_int (Stats.Histogram.count h))))
-        scopes)
-    sorted;
-  Buffer.contents buf
-
 module Scope = struct
   include S
 

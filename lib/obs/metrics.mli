@@ -99,13 +99,4 @@ type agg = { count : int; total : float; mean : float; min : float; max : float 
 val aggregate : ?protocol:string -> registry -> string -> agg
 (** Every scope's observations for [name] folded together. *)
 
-val to_prom : registry -> string
-(** Prometheus text exposition of every scope in the registry. Metric
-    names are mangled to [optimist_<name>] with non-alphanumerics
-    replaced by ['_']; every sample carries [protocol] and [process]
-    labels. Counters and gauges are single samples; summaries expose
-    [_count]/[_sum]; histograms expose cumulative [_bucket{le="..."}]
-    series plus [_sum]/[_count]. Families are sorted by source name, so
-    the output is deterministic for a given registry state. *)
-
 val pp : Format.formatter -> registry -> unit

@@ -10,52 +10,13 @@ module Oracle = Optimist_oracle.Oracle
 module Schedule = Optimist_workload.Schedule
 module Traffic = Optimist_workload.Traffic
 module Check = Optimist_check.Check
-module Pessimistic = Optimist_protocols.Pessimistic
-module Sender_based = Optimist_protocols.Sender_based
-module Strom_yemini = Optimist_protocols.Strom_yemini
-module Peterson_kearns = Optimist_protocols.Peterson_kearns
-module Checkpoint_only = Optimist_protocols.Checkpoint_only
-module Coordinated = Optimist_protocols.Coordinated
-
-type protocol =
-  | Damani_garg
-  | Damani_garg_no_hold
-  | Pessimistic
-  | Sender_based
-  | Strom_yemini
-  | Peterson_kearns
-  | Checkpoint_only
-  | Coordinated
-
-let all_protocols =
-  [
-    Damani_garg;
-    Damani_garg_no_hold;
-    Pessimistic;
-    Sender_based;
-    Strom_yemini;
-    Peterson_kearns;
-    Checkpoint_only;
-    Coordinated;
-  ]
-
-let protocol_name = function
-  | Damani_garg -> "damani-garg"
-  | Damani_garg_no_hold -> "damani-garg-nohold"
-  | Pessimistic -> "pessimistic"
-  | Sender_based -> "sender-based"
-  | Strom_yemini -> "strom-yemini"
-  | Peterson_kearns -> "peterson-kearns"
-  | Checkpoint_only -> "checkpoint-only"
-  | Coordinated -> "coordinated"
-
-let protocol_of_string s =
-  List.find_opt (fun p -> protocol_name p = s) all_protocols
+module Protocol = Optimist_core.Protocol
+module Registry = Optimist_protocols.Registry
 
 type check_mode = No_check | Check | Check_strict
 
 type params = {
-  protocol : protocol;
+  protocol : Registry.id;
   n : int;
   seed : int64;
   pattern : Traffic.pattern;
@@ -73,7 +34,7 @@ type params = {
 
 let default_params =
   {
-    protocol = Damani_garg;
+    protocol = Registry.Dg;
     n = 4;
     seed = 1L;
     pattern = Traffic.Uniform;
@@ -88,18 +49,6 @@ let default_params =
     trace = Trace.null;
     check = No_check;
   }
-
-(* Which sanitizer rules a protocol's trace is expected to satisfy. The
-   Damani-Garg variants are the paper's protocol and carry every rule;
-   each baseline declares its own applicable subset. *)
-let check_rules = function
-  | Damani_garg | Damani_garg_no_hold -> Check.all_ids
-  | Pessimistic -> Optimist_protocols.Pessimistic.check_rules
-  | Sender_based -> Optimist_protocols.Sender_based.check_rules
-  | Strom_yemini -> Optimist_protocols.Strom_yemini.check_rules
-  | Peterson_kearns -> Optimist_protocols.Peterson_kearns.check_rules
-  | Checkpoint_only -> Optimist_protocols.Checkpoint_only.check_rules
-  | Coordinated -> Optimist_protocols.Coordinated.check_rules
 
 type report = {
   r_protocol : string;
@@ -178,9 +127,7 @@ let run_damani params ~hold ~monitor =
       0 (System.processes sys)
   in
   {
-    r_protocol =
-      (if hold then protocol_name Damani_garg
-       else protocol_name Damani_garg_no_hold);
+    r_protocol = Registry.name params.protocol;
     r_params = params;
     r_counters = merge_counters ([ ("history_records", history_records) ] :: dumps);
     r_net = Counters.to_list (Network.stats (System.network sys));
@@ -201,23 +148,12 @@ let run_damani params ~hold ~monitor =
     r_registry = registry;
   }
 
-(* Generic driver for the baselines, which share the same surface. *)
-let run_baseline (type w t) params ~name
-    ~(make_net : Engine.t -> Network.config -> w)
-    ~(create :
-       engine:Engine.t ->
-       net:w ->
-       app:(Traffic.state, Traffic.msg) Types.app ->
-       id:int ->
-       n:int ->
-       metrics:Metrics.Scope.t ->
-       next_uid:(unit -> int) ->
-       unit ->
-       t) ~(inject : t -> Traffic.msg -> unit) ~(fail : t -> unit)
-    ~(state : t -> Traffic.state) =
+(* Generic driver for the baselines, through their shared sim surface. *)
+let run_baseline params ~name sim =
+  let module P = (val sim : Protocol.SIM) in
   let engine = Engine.create ~seed:params.seed () in
   Engine.set_tracer engine params.trace;
-  let net = make_net engine (net_config params) in
+  let net = P.make_net engine (net_config params) in
   let registry = Metrics.registry () in
   let uid = ref 0 in
   let next_uid () = incr uid; !uid in
@@ -227,14 +163,14 @@ let run_baseline (type w t) params ~name
         let metrics =
           Metrics.Scope.create ~registry ~protocol:name ~process:id ()
         in
-        create ~engine ~net ~app ~id ~n:params.n ~metrics ~next_uid ())
+        P.create ~engine ~net ~app ~id ~n:params.n ~metrics ~next_uid ())
   in
   let schedule = Schedule.make ~injections:(injections params) ~faults:params.faults in
   Schedule.apply schedule
     ~inject:(fun ~at ~pid msg ->
-      ignore (Engine.schedule_at engine at (fun () -> inject procs.(pid) msg)))
+      ignore (Engine.schedule_at engine at (fun () -> P.inject procs.(pid) msg)))
     ~crash:(fun ~at ~pid ->
-      ignore (Engine.schedule_at engine at (fun () -> fail procs.(pid))))
+      ignore (Engine.schedule_at engine at (fun () -> P.fail procs.(pid))))
     ~partition:(fun ~at:_ ~groups:_ -> ())
     ~heal:(fun ~at:_ -> ());
   Engine.run engine;
@@ -243,7 +179,7 @@ let run_baseline (type w t) params ~name
     r_params = params;
     r_counters = Metrics.totals registry;
     r_net = [];
-    r_digests = Array.to_list (Array.map (fun p -> Traffic.digest (state p)) procs);
+    r_digests = Array.to_list (Array.map (fun p -> Traffic.digest (P.state p)) procs);
     r_events = Engine.events_fired engine;
     r_virtual_end = Engine.now engine;
     r_oracle_stats = None;
@@ -253,51 +189,10 @@ let run_baseline (type w t) params ~name
   }
 
 let dispatch params ~monitor =
-  match params.protocol with
-  | Damani_garg -> run_damani params ~hold:true ~monitor
-  | Damani_garg_no_hold -> run_damani params ~hold:false ~monitor
-  | Pessimistic ->
-      run_baseline params ~name:(protocol_name Pessimistic)
-        ~make_net:Pessimistic.make_net
-        ~create:(fun ~engine ~net ~app ~id ~n ~metrics ~next_uid () ->
-          Pessimistic.create ~engine ~net ~app ~id ~n ~metrics ~next_uid ())
-        ~inject:Pessimistic.inject ~fail:Pessimistic.fail
-        ~state:Pessimistic.state
-  | Sender_based ->
-      run_baseline params ~name:(protocol_name Sender_based)
-        ~make_net:Sender_based.make_net
-        ~create:(fun ~engine ~net ~app ~id ~n ~metrics ~next_uid () ->
-          Sender_based.create ~engine ~net ~app ~id ~n ~metrics ~next_uid ())
-        ~inject:Sender_based.inject ~fail:Sender_based.fail
-        ~state:Sender_based.state
-  | Strom_yemini ->
-      run_baseline params ~name:(protocol_name Strom_yemini)
-        ~make_net:Strom_yemini.make_net
-        ~create:(fun ~engine ~net ~app ~id ~n ~metrics ~next_uid () ->
-          Strom_yemini.create ~engine ~net ~app ~id ~n ~metrics ~next_uid ())
-        ~inject:Strom_yemini.inject ~fail:Strom_yemini.fail
-        ~state:Strom_yemini.state
-  | Peterson_kearns ->
-      run_baseline params ~name:(protocol_name Peterson_kearns)
-        ~make_net:Peterson_kearns.make_net
-        ~create:(fun ~engine ~net ~app ~id ~n ~metrics ~next_uid () ->
-          Peterson_kearns.create ~engine ~net ~app ~id ~n ~metrics ~next_uid ())
-        ~inject:Peterson_kearns.inject ~fail:Peterson_kearns.fail
-        ~state:Peterson_kearns.state
-  | Checkpoint_only ->
-      run_baseline params ~name:(protocol_name Checkpoint_only)
-        ~make_net:Checkpoint_only.make_net
-        ~create:(fun ~engine ~net ~app ~id ~n ~metrics ~next_uid () ->
-          Checkpoint_only.create ~engine ~net ~app ~id ~n ~metrics ~next_uid ())
-        ~inject:Checkpoint_only.inject ~fail:Checkpoint_only.fail
-        ~state:Checkpoint_only.state
-  | Coordinated ->
-      run_baseline params ~name:(protocol_name Coordinated)
-        ~make_net:Coordinated.make_net
-        ~create:(fun ~engine ~net ~app ~id ~n ~metrics ~next_uid () ->
-          Coordinated.create ~engine ~net ~app ~id ~n ~metrics ~next_uid ())
-        ~inject:Coordinated.inject ~fail:Coordinated.fail
-        ~state:Coordinated.state
+  let e = Registry.entry params.protocol in
+  match e.Registry.sim with
+  | Registry.System { hold } -> run_damani params ~hold ~monitor
+  | Registry.Sim sim -> run_baseline params ~name:e.Registry.name sim
 
 let run params =
   match params.check with
@@ -309,7 +204,7 @@ let run params =
         if params.trace == Trace.null then Trace.create () else params.trace
       in
       let monitor =
-        Check.Monitor.create ~rules:(check_rules params.protocol) ()
+        Check.Monitor.create ~rules:(Registry.check_rules params.protocol) ()
       in
       Trace.attach trace (Check.Monitor.sink monitor);
       let r = dispatch { params with trace } ~monitor:(Some monitor) in

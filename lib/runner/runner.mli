@@ -10,22 +10,6 @@ module Check = Optimist_check.Check
 module Schedule = Optimist_workload.Schedule
 module Traffic = Optimist_workload.Traffic
 
-type protocol =
-  | Damani_garg  (** the paper's protocol, lib/core *)
-  | Damani_garg_no_hold  (** ablation: deliverability hold disabled *)
-  | Pessimistic
-  | Sender_based
-  | Strom_yemini
-  | Peterson_kearns
-  | Checkpoint_only
-  | Coordinated  (** consistent checkpointing, Koo-Toueg style *)
-
-val all_protocols : protocol list
-
-val protocol_name : protocol -> string
-
-val protocol_of_string : string -> protocol option
-
 type check_mode =
   | No_check
   | Check  (** run the online sanitizer; violations land in [r_check] *)
@@ -33,13 +17,8 @@ type check_mode =
       (** same monitoring — the mode only signals to callers (the CLI)
           that warnings should also fail the run *)
 
-val check_rules : protocol -> string list
-(** The sanitizer rules this protocol's trace is expected to satisfy:
-    every rule for the Damani-Garg variants, the subset each baseline
-    declares ([check_rules] in its module) otherwise. *)
-
 type params = {
-  protocol : protocol;
+  protocol : Optimist_protocols.Registry.id;
   n : int;
   seed : int64;
   pattern : Traffic.pattern;

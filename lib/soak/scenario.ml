@@ -1,6 +1,6 @@
 module Prng = Optimist_util.Prng
 module Json = Optimist_obs.Json
-module Worker = Optimist_live.Worker
+module Registry = Optimist_protocols.Registry
 
 (* One randomized fault scenario, decided entirely by (campaign seed,
    scenario index): everything a live run needs — size, traffic shape,
@@ -58,7 +58,8 @@ let generate ~seed ~index ~protocol =
      no such promise and a wire-level dup would trip their own
      duplicate-delivery rules through no protocol fault. *)
   let dup =
-    if protocol = "dg" && Prng.bool rng then round2 (Prng.float rng 0.05)
+    if Registry.of_string protocol = Some Registry.Dg && Prng.bool rng then
+      round2 (Prng.float rng 0.05)
     else 0.0
   in
   let drop = if Prng.bool rng then round2 (Prng.float rng 0.05) else 0.0 in
@@ -97,7 +98,7 @@ let plan ~seed ~count ~protocols =
   List.init count (fun index ->
       generate ~seed ~index
         ~protocol:
-          (Worker.protocol_name protos.(index mod Array.length protos)))
+          (Registry.name protos.(index mod Array.length protos)))
 
 (* --- shrinking ---
 
@@ -264,12 +265,13 @@ let of_token s =
     | [ seed; index; protocol ] -> (
         match (Int64.of_string_opt seed, int_of_string_opt index) with
         | Some seed, Some index when index >= 0 -> (
-            match Worker.protocol_of_string protocol with
-            | None ->
+            match Registry.of_string protocol with
+            | Some p when List.mem p Registry.live_protocols ->
+                Ok (generate ~seed ~index ~protocol:(Registry.name p))
+            | _ ->
                 Error
-                  (Printf.sprintf "unknown protocol %S in replay token" protocol)
-            | Some p ->
-                Ok (generate ~seed ~index ~protocol:(Worker.protocol_name p)))
+                  (Printf.sprintf "unknown live protocol %S in replay token"
+                     protocol))
         | _ ->
             Error
               (Printf.sprintf "expected SEED:INDEX:PROTOCOL or a scenario file, got %S" s)

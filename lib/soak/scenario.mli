@@ -30,7 +30,8 @@ type t = {
 val generate : seed:int64 -> index:int -> protocol:string -> t
 (** Deterministic: equal inputs yield equal records. *)
 
-val plan : seed:int64 -> count:int -> protocols:Optimist_live.Worker.protocol list -> t list
+val plan :
+  seed:int64 -> count:int -> protocols:Optimist_protocols.Registry.id list -> t list
 (** [count] scenarios cycling through [protocols] (index [i] gets
     protocol [i mod length]). Raises [Invalid_argument] on an empty
     protocol list or [count < 1]. *)

@@ -1,4 +1,5 @@
 module Worker = Optimist_live.Worker
+module Registry = Optimist_protocols.Registry
 module Supervisor = Optimist_live.Supervisor
 module Livenet = Optimist_live.Livenet
 module Check = Optimist_check.Check
@@ -47,7 +48,7 @@ let oracle_check ~crashes merged =
   else None
 
 let supervisor_cfg ~dir (s : Scenario.t) =
-  match Worker.protocol_of_string s.Scenario.sc_protocol with
+  match Registry.of_string s.Scenario.sc_protocol with
   | None ->
       Error (Printf.sprintf "unknown protocol %S" s.Scenario.sc_protocol)
   | Some protocol ->
@@ -100,8 +101,8 @@ let count_by_rule violations =
    same (crashes, events, merged) triple from remote agents. *)
 let assess ~crashes ~events ~merged (s : Scenario.t) =
   let rules =
-    match Worker.protocol_of_string s.Scenario.sc_protocol with
-    | Some p -> Worker.live_check_rules p
+    match Registry.of_string s.Scenario.sc_protocol with
+    | Some p -> Registry.live_check_rules p
     | None -> []
   in
   match Check.Lint.run ~only:rules merged with

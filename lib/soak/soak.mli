@@ -27,13 +27,13 @@ val assess :
   Scenario.t ->
   (run_result, string) result
 (** Judge a finished run: lint [merged] against the scenario protocol's
-    {!Optimist_live.Worker.live_check_rules} and oracle-check the crash
+    {!Optimist_protocols.Registry.live_check_rules} and oracle-check the crash
     count. Shared by {!run_scenario} and alternative runners (the
     cluster's multi-host runner) that produce the same triple. *)
 
 val run_scenario : dir:string -> Scenario.t -> (run_result, string) result
 (** One live run of the scenario in [dir] (cleared first), linted
-    against {!Optimist_live.Worker.live_check_rules} for its protocol.
+    against {!Optimist_protocols.Registry.live_check_rules} for its protocol.
     [Error] when the scenario cannot run at all (unknown protocol,
     invalid parameters, unreadable trace) — never for violations. *)
 

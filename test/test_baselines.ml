@@ -2,6 +2,7 @@
    every protocol sees the same workload and fault schedule. *)
 
 module Runner = Optimist_runner.Runner
+module Registry = Optimist_protocols.Registry
 module Schedule = Optimist_workload.Schedule
 module Network = Optimist_net.Network
 
@@ -26,20 +27,20 @@ let test_failure_free_all () =
   List.iter
     (fun protocol ->
       let r = run { base with Runner.protocol } in
-      let name = Runner.protocol_name protocol in
+      let name = Registry.name protocol in
       if Runner.counter r "delivered" = 0 then
         Alcotest.failf "%s delivered nothing" name;
       if Runner.counter r "restarts" <> 0 then
         Alcotest.failf "%s restarted without failures" name;
       if Runner.counter r "rollbacks" <> 0 then
         Alcotest.failf "%s rolled back without failures" name)
-    Runner.all_protocols
+    Registry.all
 
 (* --- pessimistic: recovery is local; peers never roll back; every
    delivery paid a synchronous write --- *)
 
 let test_pessimistic () =
-  let r = run (with_failure 250.0 1 { base with Runner.protocol = Runner.Pessimistic }) in
+  let r = run (with_failure 250.0 1 { base with Runner.protocol = Registry.Pessimist }) in
   Alcotest.(check int) "one restart" 1 (Runner.counter r "restarts");
   Alcotest.(check int) "no rollbacks anywhere" 0 (Runner.counter r "rollbacks");
   Alcotest.(check bool) "blocking cost accrued" true
@@ -49,7 +50,7 @@ let test_pessimistic () =
 (* --- sender-based: recovery needs peer cooperation (retransmissions) --- *)
 
 let test_sender_based () =
-  let r = run (with_failure 250.0 1 { base with Runner.protocol = Runner.Sender_based }) in
+  let r = run (with_failure 250.0 1 { base with Runner.protocol = Registry.Sender }) in
   Alcotest.(check int) "one restart" 1 (Runner.counter r "restarts");
   Alcotest.(check int) "no peer rollbacks" 0 (Runner.counter r "rollbacks");
   Alcotest.(check bool) "peers retransmitted" true
@@ -58,7 +59,7 @@ let test_sender_based () =
     (Runner.counter r "control_messages" > 0)
 
 let test_sender_based_failure_free_acks () =
-  let r = run { base with Runner.protocol = Runner.Sender_based } in
+  let r = run { base with Runner.protocol = Registry.Sender } in
   (* Every delivery generates an ack + confirm pair. *)
   Alcotest.(check bool) "control overhead present without failures" true
     (Runner.counter r "control_messages" >= Runner.counter r "delivered")
@@ -74,8 +75,8 @@ let test_strom_yemini_recovers () =
     ]
   in
   let p = { base with Runner.duration = 500.0; faults } in
-  let sy = run { p with Runner.protocol = Runner.Strom_yemini } in
-  let dg = run { p with Runner.protocol = Runner.Damani_garg } in
+  let sy = run { p with Runner.protocol = Registry.Sy } in
+  let dg = run { p with Runner.protocol = Registry.Dg } in
   Alcotest.(check int) "sy restarts" 2 (Runner.counter sy "restarts");
   Alcotest.(check bool) "sy at least as many rollbacks as dg" true
     (Runner.counter sy "rollbacks" >= Runner.counter dg "rollbacks")
@@ -131,7 +132,7 @@ let test_strom_yemini_blind_jump () =
 
 let test_peterson_kearns () =
   let r =
-    run (with_failure 200.0 1 { base with Runner.protocol = Runner.Peterson_kearns })
+    run (with_failure 200.0 1 { base with Runner.protocol = Registry.Pk })
   in
   Alcotest.(check int) "one restart" 1 (Runner.counter r "restarts");
   Alcotest.(check bool) "recovery blocked on acks" true
@@ -152,7 +153,7 @@ let test_checkpoint_only_domino () =
   let p =
     {
       base with
-      Runner.protocol = Runner.Checkpoint_only;
+      Runner.protocol = Registry.Cpo;
       duration = 500.0;
       rate = 0.08;
       faults;
@@ -170,7 +171,7 @@ let test_checkpoint_only_domino () =
 
 let test_coordinated () =
   let p =
-    with_failure 250.0 1 { base with Runner.protocol = Runner.Coordinated }
+    with_failure 250.0 1 { base with Runner.protocol = Registry.Koo }
   in
   let r = run p in
   Alcotest.(check int) "one restart" 1 (Runner.counter r "restarts");
@@ -180,7 +181,7 @@ let test_coordinated () =
   Alcotest.(check bool) "work was forfeited" true
     (Runner.counter r "lost_states" > 0);
   (* Even without failures the rounds block the application. *)
-  let r0 = run { base with Runner.protocol = Runner.Coordinated } in
+  let r0 = run { base with Runner.protocol = Registry.Koo } in
   Alcotest.(check bool) "synchronization blocks failure-free" true
     (Runner.counter r0 "blocked_time_x1000" > 0);
   Alcotest.(check bool) "3(n-1) control msgs per round" true
@@ -199,7 +200,7 @@ let test_dg_minimal_rollback_bound () =
     ]
   in
   let p =
-    { base with Runner.duration = 600.0; faults; Runner.protocol = Runner.Damani_garg }
+    { base with Runner.duration = 600.0; faults; Runner.protocol = Registry.Dg }
   in
   let r = run p in
   (* 3 failures, n=4: each of the other processes may roll back at most
@@ -215,10 +216,10 @@ let test_runner_deterministic () =
       let p = with_failure 200.0 1 { base with Runner.protocol } in
       let a = run p and b = run p in
       if a.Runner.r_digests <> b.Runner.r_digests then
-        Alcotest.failf "%s is not deterministic" (Runner.protocol_name protocol);
+        Alcotest.failf "%s is not deterministic" (Registry.name protocol);
       if a.Runner.r_events <> b.Runner.r_events then
-        Alcotest.failf "%s event counts differ" (Runner.protocol_name protocol))
-    Runner.all_protocols
+        Alcotest.failf "%s event counts differ" (Registry.name protocol))
+    Registry.all
 
 let suite =
   [

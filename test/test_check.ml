@@ -12,6 +12,7 @@ module Ftvc = Optimist_clock.Ftvc
 module Vclock = Optimist_clock.Vclock
 module Prng = Optimist_util.Prng
 module Runner = Optimist_runner.Runner
+module Registry = Optimist_protocols.Registry
 module Schedule = Optimist_workload.Schedule
 
 let ev ?(at = 1.0) ?(pid = 0) ?(ver = 0) ?(clock = [||]) kind =
@@ -276,16 +277,16 @@ let test_all_protocols_clean () =
           let r = Runner.run (checked_params protocol seed) in
           Alcotest.(check (list string))
             (Printf.sprintf "%s seed=%Ld sanitizes clean"
-               (Runner.protocol_name protocol) seed)
+               (Registry.name protocol) seed)
             [] (ids r.Runner.r_check);
           Alcotest.(check int) "check.violations metric is zero" 0
             (Metrics.total r.Runner.r_registry "check.violations"))
         [ 1L; 2L; 3L ])
-    Runner.all_protocols
+    Registry.all
 
 let test_oracle_cross_check_clean () =
   let p =
-    { (checked_params Runner.Damani_garg 5L) with Runner.with_oracle = true }
+    { (checked_params Registry.Dg 5L) with Runner.with_oracle = true }
   in
   let r = Runner.run p in
   Alcotest.(check (list string)) "sanitizer incl. oracle-agreement clean" []

@@ -467,6 +467,8 @@ let suite =
       test_merge_orders_generations_numerically;
     Alcotest.test_case "supervised run with SIGKILL recovery" `Slow
       test_supervised_run_with_crash;
+    Alcotest.test_case "pessimistic survives SIGKILL, lints strict" `Slow
+      (baseline_survives_crash Worker.Pessimist);
     Alcotest.test_case "sender-based survives SIGKILL, lints strict" `Slow
       (baseline_survives_crash Worker.Sender);
     Alcotest.test_case "strom-yemini survives SIGKILL, lints strict" `Slow

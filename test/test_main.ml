@@ -11,6 +11,7 @@ let () =
       ("history", Test_history.suite);
       ("protocol", Test_protocol.suite);
       ("baselines", Test_baselines.suite);
+      ("registry", Test_registry.suite);
       ("retransmit", Test_retransmit.suite);
       ("output-commit", Test_output_commit.suite);
       ("gc", Test_gc.suite);

@@ -235,43 +235,6 @@ let test_scope_snapshot () =
   let names = List.map fst snap in
   Alcotest.(check (list string)) "name-sorted" (List.sort compare names) names
 
-(* One scope exercising each instrument family: the exposition text is
-   fully deterministic (families sorted by name, scopes in registration
-   order), so the whole page is a golden string. *)
-let test_metrics_prom () =
-  let reg = Metrics.registry () in
-  let a = Metrics.Scope.create ~registry:reg ~protocol:"dg" ~process:0 () in
-  let b = Metrics.Scope.create ~registry:reg ~protocol:"dg" ~process:1 () in
-  Metrics.Scope.incr ~by:3 a "delivered";
-  Metrics.Scope.incr b "delivered";
-  Metrics.Scope.set_gauge a "held" 2.5;
-  Metrics.Scope.observe a "lat" 1.0;
-  Metrics.Scope.observe a "lat" 3.0;
-  Metrics.Scope.observe_hist ~buckets:[| 1.0; 2.0 |] a "depth" 1.5;
-  Metrics.Scope.observe_hist ~buckets:[| 1.0; 2.0 |] a "depth" 5.0;
-  let expected =
-    String.concat "\n"
-      [
-        "# TYPE optimist_delivered counter";
-        {|optimist_delivered{protocol="dg",process="0"} 3|};
-        {|optimist_delivered{protocol="dg",process="1"} 1|};
-        "# TYPE optimist_depth histogram";
-        {|optimist_depth_bucket{protocol="dg",process="0",le="1"} 0|};
-        {|optimist_depth_bucket{protocol="dg",process="0",le="2"} 1|};
-        {|optimist_depth_bucket{protocol="dg",process="0",le="+Inf"} 2|};
-        {|optimist_depth_sum{protocol="dg",process="0"} 6.5|};
-        {|optimist_depth_count{protocol="dg",process="0"} 2|};
-        "# TYPE optimist_held gauge";
-        {|optimist_held{protocol="dg",process="0"} 2.5|};
-        "# TYPE optimist_lat summary";
-        {|optimist_lat_count{protocol="dg",process="0"} 2|};
-        {|optimist_lat_sum{protocol="dg",process="0"} 4|};
-        "";
-      ]
-  in
-  Alcotest.(check string) "prometheus exposition" expected
-    (Metrics.to_prom reg)
-
 (* --- recovery profiler --- *)
 
 (* Resolve fixtures next to the test binary so both `dune runtest`
@@ -388,7 +351,6 @@ let suite =
     Alcotest.test_case "metrics label aggregation" `Quick test_metrics_labels;
     Alcotest.test_case "metrics instruments" `Quick test_metrics_instruments;
     Alcotest.test_case "scope snapshot" `Quick test_scope_snapshot;
-    Alcotest.test_case "prometheus exposition golden" `Quick test_metrics_prom;
     Alcotest.test_case "recovery report golden" `Quick test_report_golden;
     Alcotest.test_case "recovery report errors" `Quick test_report_errors;
     Alcotest.test_case "golden trace determinism" `Quick

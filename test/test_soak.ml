@@ -7,12 +7,13 @@
 module Scenario = Optimist_soak.Scenario
 module Soak = Optimist_soak.Soak
 module Worker = Optimist_live.Worker
+module Registry = Optimist_protocols.Registry
 module Json = Optimist_obs.Json
 module Validate = Optimist_util.Validate
 
 let scenario_string s = Json.to_string (Scenario.to_json s)
 
-let all_names = List.map Worker.protocol_name Worker.all_protocols
+let all_names = List.map Registry.name Worker.all_protocols
 
 (* --- determinism: same seed => byte-identical scenarios --- *)
 
@@ -50,6 +51,45 @@ let test_plan_deterministic () =
         (Option.value ~default:0 (Hashtbl.find_opt counts name)))
     all_names
 
+(* The seed-42 plan over every live protocol, pinned byte for byte to a
+   recorded file. The recording spells Damani-Garg and the pessimistic
+   baseline by their aliases; deciding dups by protocol id rather than by
+   name keeps every PRNG-drawn field identical. *)
+let test_plan_pinned () =
+  let fixture =
+    Filename.concat
+      (Filename.dirname Sys.executable_name)
+      (Filename.concat "fixtures" "soak_plan_42.jsonl")
+  in
+  let canonical line =
+    List.fold_left
+      (fun line (alias, name) ->
+        let key = Printf.sprintf {|"protocol":"%s"|} alias in
+        let n = String.length key in
+        let rec find i =
+          if i + n > String.length line then line
+          else if String.sub line i n = key then
+            String.sub line 0 i
+            ^ Printf.sprintf {|"protocol":"%s"|} name
+            ^ String.sub line (i + n) (String.length line - i - n)
+          else find (i + 1)
+        in
+        find 0)
+      line
+      [ ("dg", "damani-garg"); ("pessimist", "pessimistic") ]
+  in
+  let ic = open_in fixture in
+  let rec read acc =
+    match input_line ic with
+    | l -> read (canonical l :: acc)
+    | exception End_of_file ->
+        close_in ic;
+        List.rev acc
+  in
+  Alcotest.(check (list string)) "plan matches the recorded one" (read [])
+    (List.map scenario_string
+       (Scenario.plan ~seed:42L ~count:12 ~protocols:Worker.all_protocols))
+
 let test_scenarios_stay_in_bounds () =
   List.iter
     (fun (s : Scenario.t) ->
@@ -66,7 +106,7 @@ let test_scenarios_stay_in_bounds () =
         (s.sc_drop >= 0.0 && s.sc_drop < 0.1);
       Alcotest.(check bool) "dup is a small probability" true
         (s.sc_dup >= 0.0 && s.sc_dup < 0.1);
-      if s.sc_protocol <> "dg" then
+      if Registry.of_string s.sc_protocol <> Some Registry.Dg then
         Alcotest.(check (float 0.0)) "dups only for the uid-filtering protocol"
           0.0 s.sc_dup)
     (Scenario.plan ~seed:7L ~count:60 ~protocols:Worker.all_protocols)
@@ -96,7 +136,7 @@ let test_replay_token_regenerates () =
 let test_replay_token_from_file () =
   (* A shrunk scenario is unreachable from any SEED:INDEX:PROTOCOL token;
      it replays from its JSON artifact instead. *)
-  let s = Scenario.generate ~seed:5L ~index:0 ~protocol:"dg" in
+  let s = Scenario.generate ~seed:5L ~index:0 ~protocol:"damani-garg" in
   let shrunk = { s with Scenario.sc_drop = 0.0; sc_dup = 0.0 } in
   let path = Filename.temp_file "soak-minimal" ".json" in
   let oc = open_out path in
@@ -116,7 +156,7 @@ let test_replay_token_rejects_garbage () =
       match Scenario.of_token tok with
       | Ok _ -> Alcotest.failf "accepted %S" tok
       | Error _ -> ())
-    [ "nonsense"; "1:2"; "1:-2:dg"; "x:0:dg"; "1:0:not-a-protocol" ]
+    [ "nonsense"; "1:2"; "1:-2:dg"; "x:0:dg"; "1:0:not-a-protocol"; "1:0:peterson-kearns" ]
 
 (* --- shrinking: every candidate is strictly simpler --- *)
 
@@ -140,8 +180,8 @@ let test_shrink_candidates_strictly_simpler () =
 (* --- campaign records: pure over their outcomes --- *)
 
 let synthetic_outcomes () =
-  let s0 = Scenario.generate ~seed:3L ~index:0 ~protocol:"dg" in
-  let s1 = Scenario.generate ~seed:3L ~index:1 ~protocol:"pessimist" in
+  let s0 = Scenario.generate ~seed:3L ~index:0 ~protocol:"damani-garg" in
+  let s1 = Scenario.generate ~seed:3L ~index:1 ~protocol:"pessimistic" in
   let s2 = Scenario.generate ~seed:3L ~index:2 ~protocol:"sender-based" in
   [
     {
@@ -216,7 +256,7 @@ let test_small_live_campaign () =
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "optsoak-%d" (Unix.getpid ()))
   in
-  let s = Scenario.generate ~seed:7L ~index:0 ~protocol:"dg" in
+  let s = Scenario.generate ~seed:7L ~index:0 ~protocol:"damani-garg" in
   (* Keep the run short and fault-free on the wire: one SIGKILL only. *)
   let s =
     {
@@ -326,6 +366,8 @@ let suite =
       test_generate_deterministic;
     Alcotest.test_case "scenario: plan is deterministic and cycles protocols"
       `Quick test_plan_deterministic;
+    Alcotest.test_case "scenario: seed-42 plan matches its recording" `Quick
+      test_plan_pinned;
     Alcotest.test_case "scenario: generated parameters stay in bounds" `Quick
       test_scenarios_stay_in_bounds;
     Alcotest.test_case "scenario: JSON round-trip" `Quick test_json_roundtrip;
