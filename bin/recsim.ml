@@ -580,11 +580,7 @@ let live_run_cmd =
         pattern;
         faults = List.sort compare (faults @ random_faults);
         net_faults =
-          {
-            Optimist_live.Livenet.drop_rate = drop;
-            dup_rate = dup;
-            partitions = [];
-          };
+          { Optimist_live.Link.no_faults with drop_rate = drop; dup_rate = dup };
         restart_delay;
         jitter = Live.default_cfg.Live.jitter;
         telemetry;
@@ -1159,11 +1155,7 @@ let cluster_run_cmd =
         cc_pattern = pattern;
         cc_kills = List.sort compare (faults @ random_faults);
         cc_net =
-          {
-            Optimist_live.Livenet.drop_rate = drop;
-            dup_rate = dup;
-            partitions = [];
-          };
+          { Optimist_live.Link.no_faults with drop_rate = drop; dup_rate = dup };
         cc_restart_delay = restart_delay;
         cc_telemetry = Live_worker.Full;
         cc_lead = lead;

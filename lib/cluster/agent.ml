@@ -31,10 +31,7 @@ let sup_cfg ~dir (a : Proto.agent_cfg) =
     restart_delay = a.ag_restart_delay;
     jitter = Supervisor.default_cfg.Supervisor.jitter;
     telemetry = a.ag_telemetry;
-    link =
-      Some
-        (Tcplink.factory ~faults:a.ag_net ~endpoints:a.ag_endpoints
-           ~n:a.ag_n ~seed:a.ag_seed ());
+    link = Some (Tcplink.factory ~endpoints:a.ag_endpoints);
   }
 
 (* Run artifacts, as run-directory-relative paths: per-incarnation

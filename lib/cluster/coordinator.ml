@@ -1,6 +1,7 @@
 module Worker = Optimist_live.Worker
 module Registry = Optimist_protocols.Registry
-module Livenet = Optimist_live.Livenet
+module Link = Optimist_live.Link
+module Supervisor = Optimist_live.Supervisor
 module Merge = Optimist_live.Merge
 module Json = Optimist_obs.Json
 module Traffic = Optimist_workload.Traffic
@@ -29,7 +30,7 @@ type cfg = {
   cc_hops : int;
   cc_pattern : Traffic.pattern;
   cc_kills : (float * int) list;
-  cc_net : Livenet.faults;
+  cc_net : Link.faults;
   cc_restart_delay : float;
   cc_telemetry : Worker.telemetry;
   cc_lead : float;  (** seconds between Start and the shared base *)
@@ -48,7 +49,7 @@ let default_cfg =
     cc_hops = 3;
     cc_pattern = Traffic.Uniform;
     cc_kills = [];
-    cc_net = Livenet.no_faults;
+    cc_net = Link.no_faults;
     cc_restart_delay = 0.3;
     cc_telemetry = Worker.Full;
     cc_lead = 0.5;
@@ -178,6 +179,25 @@ let run ?(log = fun _ -> ()) cfg ~peers =
           (fun pid -> endpoints.(pid) <- (host, cfg.cc_worker_base + pid))
           pids)
       pid_blocks;
+    let plan j =
+      {
+        Proto.ag_run = run_id;
+        ag_n = cfg.cc_n;
+        ag_workers = List.nth pid_blocks j;
+        ag_endpoints = endpoints;
+        ag_protocol = cfg.cc_protocol;
+        ag_seed = cfg.cc_seed;
+        ag_duration = cfg.cc_duration;
+        ag_settle = cfg.cc_settle;
+        ag_rate = cfg.cc_rate;
+        ag_hops = cfg.cc_hops;
+        ag_pattern = cfg.cc_pattern;
+        ag_kills = cfg.cc_kills;
+        ag_net = cfg.cc_net;
+        ag_restart_delay = cfg.cc_restart_delay;
+        ag_telemetry = cfg.cc_telemetry;
+      }
+    in
     clean_out cfg.cc_out;
     let conns = ref [] in
     let close_all () =
@@ -208,26 +228,7 @@ let run ?(log = fun _ -> ()) cfg ~peers =
           peers;
         List.iter
           (fun (fd, j, who) ->
-            let a =
-              {
-                Proto.ag_run = run_id;
-                ag_n = cfg.cc_n;
-                ag_workers = List.nth pid_blocks j;
-                ag_endpoints = endpoints;
-                ag_protocol = cfg.cc_protocol;
-                ag_seed = cfg.cc_seed;
-                ag_duration = cfg.cc_duration;
-                ag_settle = cfg.cc_settle;
-                ag_rate = cfg.cc_rate;
-                ag_hops = cfg.cc_hops;
-                ag_pattern = cfg.cc_pattern;
-                ag_kills = cfg.cc_kills;
-                ag_net = cfg.cc_net;
-                ag_restart_delay = cfg.cc_restart_delay;
-                ag_telemetry = cfg.cc_telemetry;
-              }
-            in
-            Proto.send_request fd (Proto.Plan a);
+            Proto.send_request fd (Proto.Plan (plan j));
             expect_ok fd (Printf.sprintf "agent %s rejected the plan" who))
           !conns;
         (* One shared origin, slightly in the future so every agent's
@@ -293,44 +294,25 @@ let run ?(log = fun _ -> ()) cfg ~peers =
         ignore
           (Merge.chrome ~src:(merged_file cfg.cc_out)
              ~out:(chrome_file cfg.cc_out));
-        let summary =
-          Json.Obj
+        Supervisor.write_summary
+          (Agent.sup_cfg ~dir:cfg.cc_out (plan 0))
+          {
+            Supervisor.sv_crashes = crashes;
+            sv_clean_exits = clean_exits;
+            sv_gens = gens;
+          }
+          ~events ~dropped
+          ~extra:
             [
               ("transport", Json.String "tcp");
               ("run", Json.String run_id);
-              ("protocol", Json.String (Registry.name cfg.cc_protocol));
-              ("telemetry", Json.String (Worker.telemetry_name cfg.cc_telemetry));
-              ("n", Json.Int cfg.cc_n);
               ("agents", Json.Int k);
               ( "peers",
                 Json.List
-                  (List.map (fun (h, p) -> Json.String (Printf.sprintf "%s:%d" h p)) peers)
-              );
-              ("seed", Json.String (Int64.to_string cfg.cc_seed));
-              ("duration", Json.Float cfg.cc_duration);
-              ("settle", Json.Float cfg.cc_settle);
-              ("rate", Json.Float cfg.cc_rate);
-              ("hops", Json.Int cfg.cc_hops);
-              ( "faults",
-                Json.List
                   (List.map
-                     (fun (at, pid) ->
-                       Json.Obj [ ("at", Json.Float at); ("pid", Json.Int pid) ])
-                     cfg.cc_kills) );
-              ("drop_rate", Json.Float cfg.cc_net.Livenet.drop_rate);
-              ("dup_rate", Json.Float cfg.cc_net.Livenet.dup_rate);
-              ("crashes", Json.Int crashes);
-              ("clean_exits", Json.Int clean_exits);
-              ("events", Json.Int events);
-              ("dropped_lines", Json.Int dropped);
-              ( "generations",
-                Json.List (List.map (fun (_, g) -> Json.Int g) gens) );
-            ]
-        in
-        let oc = open_out (run_file cfg.cc_out) in
-        output_string oc (Json.to_string summary);
-        output_string oc "\n";
-        close_out oc;
+                     (fun (h, p) -> Json.String (Printf.sprintf "%s:%d" h p))
+                     peers) );
+            ];
         Ok
           {
             cs_merged = merged_file cfg.cc_out;
@@ -414,20 +396,7 @@ let scenario_runner ?(agents = 2) ?(port_base = 7800) ?(worker_base = 7900) ()
             List.map
               (fun k -> (k.Scenario.kl_at, k.Scenario.kl_pid))
               s.sc_kills;
-          cc_net =
-            {
-              Livenet.drop_rate = s.sc_drop;
-              dup_rate = s.sc_dup;
-              partitions =
-                List.map
-                  (fun p ->
-                    {
-                      Livenet.pt_start = p.Scenario.pr_start;
-                      pt_stop = p.Scenario.pr_stop;
-                      pt_island = p.Scenario.pr_island;
-                    })
-                  s.sc_partitions;
-            };
+          cc_net = Soak.net_faults s;
           cc_restart_delay = s.sc_restart_delay;
           cc_telemetry = Worker.Full;
           cc_lead = default_cfg.cc_lead;

@@ -10,7 +10,7 @@
     indistinguishable from a single-host run's. *)
 
 module Worker = Optimist_live.Worker
-module Livenet = Optimist_live.Livenet
+module Link = Optimist_live.Link
 module Traffic = Optimist_workload.Traffic
 module Scenario = Optimist_soak.Scenario
 module Soak = Optimist_soak.Soak
@@ -26,7 +26,7 @@ type cfg = {
   cc_hops : int;
   cc_pattern : Traffic.pattern;
   cc_kills : (float * int) list;  (** cluster-wide SIGKILL schedule *)
-  cc_net : Livenet.faults;
+  cc_net : Link.faults;
   cc_restart_delay : float;
   cc_telemetry : Worker.telemetry;
   cc_lead : float;  (** seconds between Start and the shared base *)

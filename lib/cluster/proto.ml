@@ -1,14 +1,15 @@
 module Worker = Optimist_live.Worker
-module Livenet = Optimist_live.Livenet
+module Link = Optimist_live.Link
 module Traffic = Optimist_workload.Traffic
 
 (* Coordinator <-> agent control protocol: length-prefixed marshalled
    messages over one blocking TCP connection per agent. Both ends are
    the same recsim binary, which is what makes Marshal across the wire
    sound (same type layout); the version handshake guards against
-   mismatched builds on different hosts. *)
+   mismatched builds on different hosts — and the workers' TCP mesh
+   frames too, so a change to either layout bumps it. *)
 
-let version = 2
+let version = 3
 
 type agent_cfg = {
   ag_run : string;  (** run id, for agent-side logging *)
@@ -25,7 +26,7 @@ type agent_cfg = {
   ag_kills : (float * int) list;
       (** the full cluster-wide SIGKILL schedule; the agent filters it
           down to the pids it hosts *)
-  ag_net : Livenet.faults;
+  ag_net : Link.faults;
   ag_restart_delay : float;
   ag_telemetry : Worker.telemetry;
 }

@@ -7,10 +7,11 @@
     completion — the one long-blocking step), [Fetch]/[File...Fetched]
     (stream back run artifacts), [Bye]/[Ok_]. Both ends must be the
     same build of the recsim binary (Marshal on the wire); [Welcome]
-    carries {!version} to catch mismatches. *)
+    carries {!version} to catch mismatches, between the control messages
+    or the workers' {!Tcplink} frames. *)
 
 module Worker = Optimist_live.Worker
-module Livenet = Optimist_live.Livenet
+module Link = Optimist_live.Link
 module Traffic = Optimist_workload.Traffic
 
 val version : int
@@ -31,7 +32,7 @@ type agent_cfg = {
       (** the full cluster-wide SIGKILL schedule; the agent filters it
           down to the pids it hosts — this is how the coordinator
           schedules kills remotely *)
-  ag_net : Livenet.faults;
+  ag_net : Link.faults;
   ag_restart_delay : float;
   ag_telemetry : Worker.telemetry;
 }

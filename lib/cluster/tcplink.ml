@@ -1,9 +1,6 @@
-module Transport = Optimist_core.Transport
-module Prng = Optimist_util.Prng
 module Metrics = Optimist_obs.Metrics
 module Loop = Optimist_live.Loop
 module Link = Optimist_live.Link
-module Livenet = Optimist_live.Livenet
 
 (* TCP mesh: worker [i] listens on [endpoints.(i)] and keeps one
    *outbound* stream connection to every peer. Connections are directed:
@@ -13,25 +10,15 @@ module Livenet = Optimist_live.Livenet
    streams need no handshake). A SIGKILL-ed peer costs its
    correspondents a dead connection, rebuilt by capped
    exponential-backoff reconnect once the successor incarnation listens
-   again; in the interim, Data frames are dropped (a real in-flight
-   loss) and Control frames come back through the retransmit timer —
-   exactly the UDS mesh's lane semantics, so the protocol layer and the
-   soak scenarios cannot tell the fabrics apart.
+   again; in the interim writes to it fail, which the lanes treat as
+   they treat a refused datagram.
 
-   Framing is a 4-byte big-endian length prefix over a marshalled frame.
-   Heartbeat pings flow on every live connection; a peer that stops
-   ponging for [hb_timeout] is declared down and its connection is torn
-   and rebuilt (failure detection under silent network death, where TCP
-   itself may take minutes to notice). Fault injection (seeded
-   drop/dup/jitter on Data, burst partitions below every frame) is
-   applied at the frame layer, mirroring {!Optimist_live.Livenet}. *)
-
-type 'a frame =
-  | Data_msg of { src : int; payload : 'a }
-  | Ctl_msg of { src : int; seq : int; payload : 'a }
-  | Ctl_ack of { seq : int }
-  | Hb_ping of { src : int; at : float }
-  | Hb_pong of { src : int; at : float }
+   Framing is a 4-byte big-endian length prefix over a body that is
+   either one marshalled lane frame — a Livenet datagram, byte for byte
+   — or a heartbeat. Heartbeat pings flow on every live connection; a
+   peer that stops ponging for [hb_timeout] is declared down and its
+   connection is torn and rebuilt (failure detection under silent
+   network death, where TCP itself may take minutes to notice). *)
 
 (* A frame larger than this is a corrupt stream, not a message. *)
 let max_frame = 1 lsl 24
@@ -39,6 +26,18 @@ let max_frame = 1 lsl 24
 (* Bound on unflushed bytes per connection before sends start counting
    as errors — backpressure against a peer that stops reading. *)
 let outbuf_cap = 1 lsl 22
+
+let hb_every = 0.25
+let hb_timeout = 3.0
+let backoff_min = 0.05
+let backoff_max = 1.0
+
+(* A heartbeat body: tag, source pid (int32), send time (float bits).
+   Every marshalled value starts with the 0x84 of Marshal's magic
+   number, so neither tag can open a lane frame. *)
+let hb_ping = '\001'
+let hb_pong = '\002'
+let hb_len = 13
 
 type conn = {
   c_dst : int;
@@ -54,31 +53,17 @@ type conn = {
   mutable c_last_seen : float;  (** wall clock of the last pong *)
 }
 
-type 'a t = {
+type t = {
   loop : Loop.t;
   me : int;
-  n : int;
   endpoints : (string * int) array;
-  rng : Prng.t;
-  jitter_lo : float;
-  jitter_span : float;
-  retransmit_every : float;
-  hb_every : float;
-  hb_timeout : float;
-  faults : Livenet.faults;
-  scope : Metrics.Scope.t;
+  port : Link.port;
+  scope : Metrics.Scope.t;  (** stream counters and the RTT histogram *)
   conns : conn array;  (** index = dst; [me]'s slot is never used *)
   mutable listen_fd : Unix.file_descr option;
   mutable inbound : Unix.file_descr list;  (** accepted connections *)
-  mutable handler : 'a -> unit;
-  mutable ctl_seq : int;
-  unacked : (int, int * Bytes.t) Hashtbl.t; (* seq -> (dst, encoded frame) *)
-  seen_ctl : (int * int, unit) Hashtbl.t; (* (src, seq) already delivered *)
   mutable closed : bool;
 }
-
-let backoff_min = 0.05
-let backoff_max = 1.0
 
 let incr ?by t name = Metrics.Scope.incr ?by t.scope name
 
@@ -89,27 +74,12 @@ let resolve host =
     with Not_found ->
       failwith (Printf.sprintf "tcp link: cannot resolve host %S" host))
 
-let encode frame =
-  let body = Marshal.to_bytes frame [] in
-  let n = Bytes.length body in
-  let out = Bytes.create (4 + n) in
-  Bytes.set_int32_be out 0 (Int32.of_int n);
-  Bytes.blit body 0 out 4 n;
-  out
-
-(* Same gate as the UDS mesh: an active partition blocks frames crossing
-   the island boundary in either direction, heartbeats included (a
-   partitioned peer genuinely looks dead). *)
-let partitioned t ~dst =
-  t.faults.Livenet.partitions <> []
-  && begin
-       let now = Loop.now t.loop in
-       List.exists
-         (fun (p : Livenet.partition) ->
-           now >= p.pt_start && now < p.pt_stop
-           && List.mem t.me p.pt_island <> List.mem dst p.pt_island)
-         t.faults.Livenet.partitions
-     end
+let heartbeat tag ~src ~at =
+  let b = Bytes.create hb_len in
+  Bytes.set b 0 tag;
+  Bytes.set_int32_be b 1 (Int32.of_int src);
+  Bytes.set_int64_be b 5 (Int64.bits_of_float at);
+  b
 
 let conn_down t conn =
   (match conn.c_fd with
@@ -164,91 +134,86 @@ and arm t conn fd =
     Loop.on_writable t.loop fd (fun () -> flush t conn)
   end
 
-(* Enqueue one encoded frame on [dst]'s outbound connection. Down or
-   clogged connections drop the frame (counted as a send error): that is
-   a Data frame's fate, and Control frames retry via the retransmit
-   timer — the TCP analogue of the datagram mesh's ECONNREFUSED path. *)
-let conn_send t ~dst bytes =
+(* The fabric's write: frame one body onto [dst]'s outbound connection.
+   A down or clogged connection refuses it. *)
+let conn_send t ~dst body =
   let conn = t.conns.(dst) in
-  if (not conn.c_up) || conn.c_q_bytes > outbuf_cap then
-    incr t "send_errors"
+  if (not conn.c_up) || conn.c_q_bytes > outbuf_cap then false
   else begin
+    let n = Bytes.length body in
+    let out = Bytes.create (4 + n) in
+    Bytes.set_int32_be out 0 (Int32.of_int n);
+    Bytes.blit body 0 out 4 n;
     incr t "frames_sent";
-    incr ~by:(Bytes.length bytes) t "bytes_sent";
-    Queue.push bytes conn.c_q;
-    conn.c_q_bytes <- conn.c_q_bytes + Bytes.length bytes;
-    flush t conn
+    incr ~by:(4 + n) t "bytes_sent";
+    Queue.push out conn.c_q;
+    conn.c_q_bytes <- conn.c_q_bytes + 4 + n;
+    flush t conn;
+    true
   end
 
-let send_frame t ~dst frame =
-  if partitioned t ~dst then incr t "partition_blocked"
-  else conn_send t ~dst (encode frame)
-
-let dispatch t frame =
-  incr t "received";
-  match frame with
-  | Data_msg { src = _; payload } -> t.handler payload
-  | Ctl_msg { src; seq; payload } ->
-      (* Ack first (cheap, idempotent); deliver only the first copy. *)
-      send_frame t ~dst:src (Ctl_ack { seq });
-      if not (Hashtbl.mem t.seen_ctl (src, seq)) then begin
-        Hashtbl.replace t.seen_ctl (src, seq) ();
-        t.handler payload
-      end
-  | Ctl_ack { seq } -> Hashtbl.remove t.unacked seq
-  | Hb_ping { src; at } -> send_frame t ~dst:src (Hb_pong { src = t.me; at })
-  | Hb_pong { src; at } ->
+(* One received body: a heartbeat is handled here, anything else is the
+   lanes' to decode. *)
+let on_frame t buf off len =
+  let tag = Bytes.get buf off in
+  if len = hb_len && (tag = hb_ping || tag = hb_pong) then begin
+    let src = Int32.to_int (Bytes.get_int32_be buf (off + 1)) in
+    let at = Int64.float_of_bits (Bytes.get_int64_be buf (off + 5)) in
+    if src < 0 || src >= Array.length t.conns then t.port.reject ()
+    else if tag = hb_ping then
+      t.port.send ~dst:src (heartbeat hb_pong ~src:t.me ~at)
+    else begin
       let now = Unix.gettimeofday () in
-      if src >= 0 && src < t.n then t.conns.(src).c_last_seen <- now;
+      t.conns.(src).c_last_seen <- now;
       Metrics.Scope.observe_hist t.scope "hb_rtt_ms"
         (Float.max 0.0 ((now -. at) *. 1000.0))
+    end
+  end
+  else t.port.deliver buf off len
 
-(* Reassemble length-prefixed frames from a stream buffer. Both inbound
-   accepted connections and outbound connections read through this (a
-   peer only ever sends us frames on its own outbound connection, but an
-   EOF on ours is how we learn it died). *)
-let drain_frames t buf ~on_error =
-  let s = Buffer.contents buf in
-  let total = String.length s in
-  let pos = ref 0 in
-  let continue = ref true in
-  let bad = ref false in
-  while !continue do
-    if total - !pos < 4 then continue := false
-    else begin
-      let flen = Int32.to_int (String.get_int32_be s !pos) in
-      if flen <= 0 || flen > max_frame then begin
-        bad := true;
-        continue := false
-      end
-      else if total - !pos - 4 < flen then continue := false
+type reader = { mutable r_buf : Bytes.t; mutable r_len : int }
+
+(* Hand every complete frame in the reader's buffer to [on_frame] and
+   keep the incomplete tail; [false] on a corrupt length. *)
+let drain t r =
+  let rec go pos =
+    if r.r_len - pos < 4 then Some pos
+    else
+      let flen = Int32.to_int (Bytes.get_int32_be r.r_buf pos) in
+      if flen <= 0 || flen > max_frame then None
+      else if r.r_len - pos - 4 < flen then Some pos
       else begin
         incr t "frames_received";
-        (match (Marshal.from_string s (!pos + 4) : _ frame) with
-        | frame -> dispatch t frame
-        | exception _ -> ());
-        pos := !pos + 4 + flen
+        on_frame t r.r_buf (pos + 4) flen;
+        go (pos + 4 + flen)
       end
-    end
-  done;
-  if !bad then on_error ()
-  else begin
-    Buffer.clear buf;
-    Buffer.add_substring buf s !pos (total - !pos)
-  end
+  in
+  match go 0 with
+  | None -> false
+  | Some pos ->
+      Bytes.blit r.r_buf pos r.r_buf 0 (r.r_len - pos);
+      r.r_len <- r.r_len - pos;
+      true
 
-(* Register a frame reader on [fd]. [on_close] runs on EOF, a read
-   error, or a corrupt stream. *)
+(* Register a frame reader on [fd]. Both inbound accepted connections
+   and outbound connections read through this (a peer only ever sends us
+   frames on its own outbound connection, but an EOF on ours is how we
+   learn it died). [on_close] runs on EOF, a read error, or a corrupt
+   stream. *)
 let add_reader t fd ~on_close =
-  let buf = Buffer.create 4096 in
-  let chunk = Bytes.create 65536 in
+  let r = { r_buf = Bytes.create 65536; r_len = 0 } in
   Loop.on_readable t.loop fd (fun () ->
-      match Unix.read fd chunk 0 (Bytes.length chunk) with
+      if r.r_len = Bytes.length r.r_buf then begin
+        let bigger = Bytes.create (2 * r.r_len) in
+        Bytes.blit r.r_buf 0 bigger 0 r.r_len;
+        r.r_buf <- bigger
+      end;
+      match Unix.read fd r.r_buf r.r_len (Bytes.length r.r_buf - r.r_len) with
       | 0 -> on_close ()
       | n ->
           incr ~by:n t "bytes_received";
-          Buffer.add_subbytes buf chunk 0 n;
-          drain_frames t buf ~on_error:on_close
+          r.r_len <- r.r_len + n;
+          if not (drain t r) then on_close ()
       | exception
           Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
         ->
@@ -302,81 +267,22 @@ let reconnect_due t =
       then attempt_connect t conn)
     t.conns
 
-let heartbeat t =
+(* Pings go through the lanes' partition gate: a partitioned peer
+   genuinely looks dead. *)
+let heartbeat_tick t =
   let now = Unix.gettimeofday () in
   Array.iter
     (fun conn ->
       if conn.c_dst <> t.me && conn.c_up then begin
-        if now -. conn.c_last_seen > t.hb_timeout then begin
+        if now -. conn.c_last_seen > hb_timeout then begin
           (* Silence despite a live TCP stream: declare the peer down
              and rebuild through the backoff path. *)
           incr t "hb_timeouts";
           conn_down t conn
         end
-        else send_frame t ~dst:conn.c_dst (Hb_ping { src = t.me; at = now })
+        else t.port.send ~dst:conn.c_dst (heartbeat hb_ping ~src:t.me ~at:now)
       end)
     t.conns
-
-let send t ~lane ~dst payload =
-  if not t.closed then
-    match lane with
-    | Transport.Data ->
-        incr t "sent_data";
-        if
-          t.faults.Livenet.drop_rate > 0.0
-          && Prng.bernoulli t.rng t.faults.Livenet.drop_rate
-        then incr t "faults_dropped"
-        else begin
-          let bytes = encode (Data_msg { src = t.me; payload }) in
-          (* Sender-side jitter, as in the UDS mesh: the frame hits the
-             stream a random delay late, so back-to-back sends to
-             different peers genuinely interleave. *)
-          let post () =
-            let delay = t.jitter_lo +. Prng.float t.rng t.jitter_span in
-            Loop.schedule t.loop ~delay (fun () ->
-                if not t.closed then
-                  if partitioned t ~dst then incr t "partition_blocked"
-                  else conn_send t ~dst bytes)
-          in
-          post ();
-          if
-            t.faults.Livenet.dup_rate > 0.0
-            && Prng.bernoulli t.rng t.faults.Livenet.dup_rate
-          then begin
-            incr t "faults_duplicated";
-            post ()
-          end
-        end
-    | Transport.Control ->
-        incr t "sent_control";
-        t.ctl_seq <- t.ctl_seq + 1;
-        let seq = t.ctl_seq in
-        let bytes = encode (Ctl_msg { src = t.me; seq; payload }) in
-        Hashtbl.replace t.unacked seq (dst, bytes);
-        if partitioned t ~dst then incr t "partition_blocked"
-        else conn_send t ~dst bytes
-
-let retransmit_pending t =
-  Hashtbl.iter
-    (fun _ (dst, bytes) ->
-      incr t "retransmits";
-      if partitioned t ~dst then incr t "partition_blocked"
-      else conn_send t ~dst bytes)
-    t.unacked
-
-let transport t =
-  {
-    Transport.send = (fun ~lane ~src:_ ~dst payload -> send t ~lane ~dst payload);
-    broadcast =
-      (fun ~lane ~src:_ payload ->
-        for dst = 0 to t.n - 1 do
-          if dst <> t.me then send t ~lane ~dst payload
-        done);
-    set_handler = (fun id f -> if id = t.me then t.handler <- f);
-    (* Crashes are real process deaths here; the fabric has no gate. *)
-    set_down = (fun _ -> ());
-    set_up = (fun ~drop_held_data:_ _ -> ());
-  }
 
 let listen t =
   let _, port = t.endpoints.(t.me) in
@@ -406,81 +312,16 @@ let listen t =
         | exception Unix.Unix_error _ -> continue := false
       done)
 
-let create ?(jitter = (0.001, 0.02)) ?(retransmit_every = 0.1)
-    ?(hb_every = 0.25) ?(hb_timeout = 3.0) ?(seq_base = 0)
-    ?(faults = Livenet.no_faults) ~loop ~endpoints ~me ~n ~seed () =
-  if Array.length endpoints <> n then
-    invalid_arg
-      (Printf.sprintf "tcp link: %d endpoints for %d workers"
-         (Array.length endpoints) n);
-  let jitter_lo, jitter_hi = jitter in
-  let t =
-    {
-      loop;
-      me;
-      n;
-      endpoints;
-      rng = Prng.create seed;
-      jitter_lo;
-      jitter_span = Float.max (jitter_hi -. jitter_lo) 1e-9;
-      retransmit_every;
-      hb_every;
-      hb_timeout;
-      faults;
-      scope = Metrics.Scope.create ~protocol:"tcp" ~process:me ();
-      conns =
-        Array.init n (fun dst ->
-            {
-              c_dst = dst;
-              c_fd = None;
-              c_up = false;
-              c_ever_up = false;
-              c_armed = false;
-              c_q = Queue.create ();
-              c_q_off = 0;
-              c_q_bytes = 0;
-              c_backoff = backoff_min;
-              c_next_attempt = 0.0;
-              c_last_seen = 0.0;
-            });
-      listen_fd = None;
-      inbound = [];
-      handler = (fun _ -> ());
-      ctl_seq = seq_base;
-      unacked = Hashtbl.create 64;
-      seen_ctl = Hashtbl.create 256;
-      closed = false;
-    }
-  in
-  listen t;
-  reconnect_due t;
-  let rec retry_loop () =
-    if not t.closed then begin
-      retransmit_pending t;
-      Loop.schedule loop ~delay:t.retransmit_every retry_loop
-    end
-  in
-  Loop.schedule loop ~delay:retransmit_every retry_loop;
-  let rec hb_loop () =
-    if not t.closed then begin
-      heartbeat t;
-      reconnect_due t;
-      Loop.schedule loop ~delay:t.hb_every hb_loop
-    end
-  in
-  Loop.schedule loop ~delay:hb_every hb_loop;
-  t
-
-let connected t =
-  Array.for_all (fun conn -> conn.c_dst = t.me || conn.c_up) t.conns
-
 (* Startup barrier: pump the loop (connect completions, accepts) until
    every outbound connection is up. Wall-clock driven — the loop's own
    clock may still be idling before the run base. *)
 let wait_connected t ~timeout =
   let deadline = Unix.gettimeofday () +. timeout in
+  let connected () =
+    Array.for_all (fun conn -> conn.c_dst = t.me || conn.c_up) t.conns
+  in
   let rec wait () =
-    if connected t then true
+    if connected () then true
     else if Unix.gettimeofday () > deadline then false
     else begin
       reconnect_due t;
@@ -489,14 +330,6 @@ let wait_connected t ~timeout =
     end
   in
   wait ()
-
-let unacked_count t = Hashtbl.length t.unacked
-
-let stats t = Metrics.Scope.counters t.scope
-
-let snapshot t = Metrics.Scope.snapshot_prefixed ~prefix:"link." t.scope
-
-let scope t = t.scope
 
 let close t =
   if not t.closed then begin
@@ -530,29 +363,53 @@ let close t =
         t.listen_fd <- None
   end
 
-let link t =
+let factory ~endpoints : Link.factory =
+ fun ~loop ~me ~n port ->
+  if Array.length endpoints <> n then
+    invalid_arg
+      (Printf.sprintf "tcp link: %d endpoints for %d workers"
+         (Array.length endpoints) n);
+  let t =
+    {
+      loop;
+      me;
+      endpoints;
+      port;
+      scope = Metrics.Scope.create ~protocol:"tcp" ~process:me ();
+      conns =
+        Array.init n (fun dst ->
+            {
+              c_dst = dst;
+              c_fd = None;
+              c_up = false;
+              c_ever_up = false;
+              c_armed = false;
+              c_q = Queue.create ();
+              c_q_off = 0;
+              c_q_bytes = 0;
+              c_backoff = backoff_min;
+              c_next_attempt = 0.0;
+              c_last_seen = 0.0;
+            });
+      listen_fd = None;
+      inbound = [];
+      closed = false;
+    }
+  in
+  listen t;
+  reconnect_due t;
+  let rec hb_loop () =
+    if not t.closed then begin
+      heartbeat_tick t;
+      reconnect_due t;
+      Loop.schedule loop ~delay:hb_every hb_loop
+    end
+  in
+  Loop.schedule loop ~delay:hb_every hb_loop;
   {
-    Link.transport = transport t;
-    ready = (fun ~timeout -> wait_connected t ~timeout);
-    unacked = (fun () -> unacked_count t);
-    stats = (fun () -> stats t);
-    snapshot = (fun () -> snapshot t);
+    Link.write = conn_send t;
+    ready = wait_connected t;
+    stats = (fun () -> Metrics.Scope.counters t.scope);
+    snapshot = (fun () -> Metrics.Scope.snapshot t.scope);
     close = (fun () -> close t);
-    kind = "tcp";
-  }
-
-(* Per-incarnation seed and control-sequence base derivation matches
-   {!Optimist_live.Livenet.factory}, so a scenario replays identically
-   over either fabric modulo wall-clock timing. *)
-let factory ?retransmit_every ?hb_every ?hb_timeout
-    ?(faults = Livenet.no_faults) ~endpoints ~n ~seed () =
-  {
-    Link.f_kind = "tcp";
-    make =
-      (fun ~loop ~me ~gen ~jitter ->
-        let seed = Int64.add seed (Int64.of_int (1 + me + (gen * n))) in
-        link
-          (create ~jitter ?retransmit_every ?hb_every ?hb_timeout
-             ~seq_base:(gen * 1_000_000)
-             ~faults ~loop ~endpoints ~me ~n ~seed ()));
   }

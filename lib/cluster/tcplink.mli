@@ -1,90 +1,30 @@
-(** TCP mesh transport: the multi-host counterpart of
-    {!Optimist_live.Livenet}.
+(** The multi-host fabric: a TCP mesh under {!Optimist_live.Link}.
 
     Worker [i] listens on [endpoints.(i)] and keeps one outbound stream
     connection per peer (directed: acks and pongs return on the peer's
     own outbound connection; every frame carries its source pid, so
-    inbound streams need no handshake). Frames are marshalled with a
-    4-byte big-endian length prefix. Connections are established
+    inbound streams need no handshake). Connections are established
     non-blockingly and rebuilt after loss with capped exponential
-    backoff; heartbeat pings double as a failure detector (a peer silent
-    for [hb_timeout] has its connection torn and rebuilt) and feed an
-    RTT histogram. While a peer is down, Data frames drop (real
-    in-flight losses) and Control frames return through the retransmit
-    timer — the same lane semantics as the UDS mesh, so protocol code
-    and soak scenarios run unchanged over either fabric. The seeded
-    drop/dup/jitter/partition fault plan is applied at the frame layer,
-    mirroring {!Optimist_live.Livenet}. *)
+    backoff. While a connection is down or clogged, writes to it fail —
+    to the lanes, the same as a refused datagram.
 
-module Transport = Optimist_core.Transport
-module Metrics = Optimist_obs.Metrics
-module Loop = Optimist_live.Loop
+    Wire: a 4-byte big-endian length, then the body — one marshalled
+    {!Optimist_live.Link.frame} (exactly a Livenet datagram) or a
+    13-byte heartbeat (tag byte 1 for a ping or 2 for a pong, int32
+    source pid, float64 send time). Pings flow every 0.25 s on each live connection
+    and double as a failure detector: a peer silent for 3 s has its
+    connection torn and rebuilt. Pongs feed an RTT histogram.
+
+    Besides the lane counters, [Link.stats] carries the stream counters
+    that have moved: [bytes_sent], [bytes_received], [frames_sent],
+    [frames_received], [connects], [reconnects], [accepted],
+    [hb_timeouts]; [Link.snapshot] adds [link.hb_rtt_ms.count/p50/p95]. *)
+
 module Link = Optimist_live.Link
-module Livenet = Optimist_live.Livenet
 
-type 'a t
-
-val create :
-  ?jitter:float * float ->
-  ?retransmit_every:float ->
-  ?hb_every:float ->
-  ?hb_timeout:float ->
-  ?seq_base:int ->
-  ?faults:Livenet.faults ->
-  loop:Loop.t ->
-  endpoints:(string * int) array ->
-  me:int ->
-  n:int ->
-  seed:int64 ->
-  unit ->
-  'a t
-(** Binds and listens on [endpoints.(me)] (SO_REUSEADDR), starts
-    connecting to every peer, and arms the retransmit (default 0.1 s)
-    and heartbeat (default 0.25 s, 3 s timeout) timers on [loop].
-    [jitter], [seq_base] and [faults] behave as in
-    {!Optimist_live.Livenet.create}. *)
-
-val wait_connected : 'a t -> timeout:float -> bool
-(** Pump the loop until every outbound connection is up; [false] on
-    timeout. Wall-clock driven, so it works before the run base. *)
-
-val connected : 'a t -> bool
-
-val transport : 'a t -> 'a Transport.t
-
-val unacked_count : 'a t -> int
-(** Control frames not yet acknowledged. *)
-
-val stats : 'a t -> (string * int) list
-(** Wire counters: the UDS mesh's names ([sent_data], [sent_control],
-    [retransmits], [received], [send_errors], [faults_dropped],
-    [faults_duplicated], [partition_blocked]) plus the stream layer's
-    [bytes_sent], [bytes_received], [frames_sent], [frames_received],
-    [connects], [reconnects], [accepted], [hb_timeouts]. *)
-
-val snapshot : 'a t -> (string * float) list
-(** The link's metric scope flattened under the ["link."] prefix,
-    including [link.hb_rtt_ms.count/p50/p95] from the heartbeat RTT
-    histogram — the payload merged into the worker's Snapshot records. *)
-
-val scope : 'a t -> Metrics.Scope.t
-
-val close : 'a t -> unit
-
-val link : 'a t -> 'a Link.t
-(** The mesh behind the transport-agnostic {!Optimist_live.Link}
-    interface ([kind = "tcp"]). *)
-
-val factory :
-  ?retransmit_every:float ->
-  ?hb_every:float ->
-  ?hb_timeout:float ->
-  ?faults:Livenet.faults ->
-  endpoints:(string * int) array ->
-  n:int ->
-  seed:int64 ->
-  unit ->
-  Link.factory
-(** A {!Optimist_live.Link.factory} for the TCP mesh. Per-incarnation
-    seed and control-sequence base derivation matches
-    {!Optimist_live.Livenet.factory}. *)
+val factory : endpoints:(string * int) array -> Link.factory
+(** The TCP mesh over [endpoints] (worker pid -> host, port): binds and
+    listens on the worker's own endpoint (SO_REUSEADDR) and starts
+    connecting to every peer. Its [ready] pumps the loop until every
+    outbound connection is up. Raises [Invalid_argument] unless there is
+    one endpoint per worker. *)

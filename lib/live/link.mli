@@ -1,43 +1,128 @@
-(** The live network as a first-class value.
+(** The live channel: the two lanes of {!Optimist_core.Transport.lane}
+    over a pluggable fabric.
 
-    A link is everything one worker needs from its message fabric: a
-    protocol-facing {!Optimist_core.Transport.t}, a gen-0 startup
-    barrier, and wire-level accounting. {!Livenet} (single-host
-    Unix-domain datagrams) and the cluster's TCP mesh are the two
-    implementations; workers select one through a {!factory} and are
-    otherwise oblivious to the transport underneath. *)
+    This module owns every lane semantic, for every fabric:
+
+    - {b Data} — fire-and-forget. A send may be dropped ([drop_rate]);
+      otherwise its write is delayed by a seeded jitter, so back-to-back
+      sends genuinely reorder, and it may be written twice
+      ([dup_rate]). A write to a dead or unborn peer fails — a real
+      in-flight loss.
+    - {b Control} — reliable. Frames carry a sequence number, are kept
+      until acknowledged, and are retransmitted periodically; receivers
+      ack every copy and deliver the first ([(src, seq)] dedup). A
+      control frame sent to a crashed peer therefore reaches its next
+      incarnation.
+    - the {b partition gate}, below every frame write.
+    - the wire counters, and the per-incarnation seed and sequence base.
+
+    A {!fabric} only moves encoded frames between workers: {!Livenet}
+    (single-host Unix-domain datagrams) and the cluster's TCP mesh. The
+    transport's [set_down]/[set_up] are no-ops: crashes are real process
+    deaths here. *)
 
 module Transport = Optimist_core.Transport
 
-type 'a t = {
-  transport : 'a Transport.t;  (** the two-lane protocol fabric *)
+type partition = { pt_start : float; pt_stop : float; pt_island : int list }
+(** A burst partition: during [pt_start, pt_stop) (loop time), frames
+    crossing the island boundary — in either direction — are blocked at
+    the gate. Control frames heal through retransmission once the window
+    closes; Data frames are real losses. *)
+
+type faults = {
+  drop_rate : float;  (** Bernoulli loss per Data send *)
+  dup_rate : float;  (** Bernoulli duplicate per Data send *)
+  partitions : partition list;
+}
+(** Seeded network-fault plan, decided deterministically from the
+    link's PRNG at send time. *)
+
+val no_faults : faults
+
+(** One lane frame, marshalled. It is the unit every fabric moves: a
+    Livenet datagram is exactly one, unwrapped. *)
+type 'a frame =
+  | Data_msg of { src : int; payload : 'a }
+  | Ctl_msg of { src : int; seq : int; payload : 'a }
+  | Ctl_ack of { seq : int }
+
+(** What the lanes hand a fabric. *)
+type port = {
+  deliver : Bytes.t -> int -> int -> unit;
+      (** [deliver buf off len]: one received frame. Anything that is not
+          exactly one marshalled {!frame} with a source in [\[0, n)] is
+          counted as [rejected] and dropped. *)
+  send : dst:int -> Bytes.t -> unit;
+      (** write a fabric-level frame (TCP heartbeats) through the same
+          partition gate and error accounting as the lanes *)
+  reject : unit -> unit;  (** count a malformed fabric-level frame *)
+}
+
+(** A byte mover: one worker's end of a fabric. *)
+type fabric = {
+  write : dst:int -> Bytes.t -> bool;
+      (** move one frame to [dst]; [false] if it could not be sent *)
   ready : timeout:float -> bool;
-      (** block (pumping the loop or sleeping) until every peer is
-          reachable; [false] on timeout. The gen-0 startup barrier. *)
-  unacked : unit -> int;  (** control frames not yet acknowledged *)
-  stats : unit -> (string * int) list;
-      (** wire counters for the worker stats file ([sent_data],
-          [retransmits], [reconnects], ...) *)
+      (** block until every peer is reachable; [false] on timeout. The
+          gen-0 startup barrier. *)
+  stats : unit -> (string * int) list;  (** fabric-specific counters *)
   snapshot : unit -> (string * float) list;
-      (** the same state as [link.]-prefixed floats — possibly with
-          quantiles of wire-level distributions (heartbeat RTT) — for
-          the schema-v3 [Snapshot] telemetry records *)
+      (** fabric-specific metrics, unprefixed (counters and, for TCP,
+          heartbeat RTT quantiles) *)
   close : unit -> unit;
-  kind : string;  (** ["uds"] or ["tcp"] *)
 }
 
-type factory = {
-  f_kind : string;
-  make :
-    'a.
-    loop:Loop.t -> me:int -> gen:int -> jitter:float * float -> 'a t;
-      (** build this incarnation's link. [jitter] is passed at make time
-          (not baked into the factory) because the worker overrides it
-          per protocol (Strom-Yemini runs jitter-free). Implementations
-          derive the per-incarnation PRNG seed and control-sequence base
-          from [me] and [gen] exactly like {!Livenet.create}. *)
-}
+type factory = loop:Loop.t -> me:int -> n:int -> port -> fabric
+(** Build worker [me]'s end of a fabric among [n] workers. *)
 
-val snapshot_of_stats : (string * int) list -> (string * float) list
-(** Integer wire counters as ["link."]-prefixed floats — the default
-    {!t.snapshot} for implementations without float-valued metrics. *)
+type 'a t
+
+val create :
+  ?jitter:float * float ->
+  ?retransmit_every:float ->
+  ?seq_base:int ->
+  ?faults:faults ->
+  loop:Loop.t ->
+  me:int ->
+  n:int ->
+  seed:int64 ->
+  factory ->
+  'a t
+(** Attach the fabric and start the retransmit timer (default every
+    0.1 s). [jitter] is the (min, max) Data-lane send delay in seconds
+    (default 1–20 ms). [seed] seeds the fault and jitter draws;
+    [seq_base] is the first control sequence number minus one. *)
+
+val incarnation :
+  factory ->
+  loop:Loop.t ->
+  me:int ->
+  gen:int ->
+  n:int ->
+  seed:int64 ->
+  faults:faults ->
+  jitter:float * float ->
+  'a t
+(** {!create} for incarnation [gen] of worker [me] in a run seeded with
+    [seed]: the PRNG seed is [seed + 1 + me + gen*n] and the sequence
+    base [gen * 1_000_000], so a restarted worker's control frames are
+    never taken for retransmits of its predecessor's. *)
+
+val transport : 'a t -> 'a Transport.t
+val ready : 'a t -> timeout:float -> bool
+
+val unacked_count : 'a t -> int
+(** Control frames not yet acknowledged. *)
+
+val stats : 'a t -> (string * int) list
+(** The lane counters, always all present: [sent_data], [sent_control],
+    [retransmits], [received], [send_errors], [faults_dropped],
+    [faults_duplicated], [partition_blocked], [rejected]; then the
+    fabric's own. *)
+
+val snapshot : 'a t -> (string * float) list
+(** The lane counters and the fabric's metrics as ["link."]-prefixed
+    floats, for the worker's [Snapshot] telemetry records. *)
+
+val close : 'a t -> unit
+(** Stop the timers and close the fabric. *)

@@ -1,47 +1,18 @@
-(** Real-socket transport: a mesh of Unix-domain datagram sockets.
+(** The single-host fabric: a mesh of Unix-domain datagram sockets.
 
-    Worker [i] binds [DIR/wi.sock]; sends go straight to the peer's
-    address, so there is no connection state to tear down when a peer is
-    SIGKILL-ed. The two lanes of {!Optimist_core.Transport.lane} map to:
+    Worker [i] binds [DIR/wi.sock]; each lane frame ({!Link.frame}) is
+    one datagram, sent straight to the peer's address, so there is no
+    connection state to tear down when a peer is SIGKILL-ed — a send to
+    it just fails until its successor binds the path again. Lane
+    semantics are {!Link}'s. *)
 
-    - {b Data} — fire-and-forget. The actual [sendto] is delayed by a
-      seeded random jitter, so back-to-back sends genuinely reorder on
-      the wire; sends to a dead or unborn peer are dropped (a real
-      in-flight loss).
-    - {b Control} — reliable. Frames carry a sequence number, are
-      retained until acknowledged, and are retransmitted periodically;
-      receivers ack and de-duplicate. A control frame sent to a crashed
-      peer is therefore delivered to its next incarnation — the live
-      equivalent of the simulated network's queued control plane.
-
-    The transport's [set_down]/[set_up] are no-ops: crashes are real
-    process deaths here. *)
-
-module Transport = Optimist_core.Transport
-
-type 'a t
-
-type partition = { pt_start : float; pt_stop : float; pt_island : int list }
-(** A burst partition: during [pt_start, pt_stop) (loop time), frames
-    crossing the island boundary — in either direction — are blocked at
-    the socket gate. Control frames heal through retransmission once the
-    window closes; Data frames are real losses. *)
-
-type faults = {
-  drop_rate : float;  (** Bernoulli loss per Data send *)
-  dup_rate : float;  (** Bernoulli duplicate per Data send *)
-  partitions : partition list;
-}
-(** Seeded network-fault plan, decided deterministically from the
-    transport's PRNG at send time. *)
-
-val no_faults : faults
+type 'a t = 'a Link.t
 
 val create :
   ?jitter:float * float ->
   ?retransmit_every:float ->
   ?seq_base:int ->
-  ?faults:faults ->
+  ?faults:Link.faults ->
   loop:Loop.t ->
   dir:string ->
   me:int ->
@@ -49,13 +20,12 @@ val create :
   seed:int64 ->
   unit ->
   'a t
-(** Binds [DIR/w<me>.sock] (unlinking any stale file), registers the
-    receive pump on [loop], and starts the retransmit timer. [jitter]
-    is the (min, max) Data-lane send delay in seconds (default 1–20 ms).
-    [seq_base] must be distinct per incarnation (e.g. [gen * 1_000_000])
-    so a restarted worker's control frames are not mistaken for
-    retransmits of its predecessor's. [faults] (default {!no_faults})
-    injects seeded drops, duplicates and burst partitions. *)
+(** {!Link.create} over {!factory}: binds [DIR/w<me>.sock] (unlinking
+    any stale file) and registers the receive pump on [loop]. *)
+
+val factory : dir:string -> Link.factory
+(** The UDS mesh under [dir]. Its [ready] waits for every peer's socket
+    file to exist. Raises [Invalid_argument] when {!check_dir} fails. *)
 
 val sock_path : string -> int -> string
 (** [sock_path dir i] is worker [i]'s socket path. *)
@@ -65,39 +35,13 @@ val sun_path_max : int
 
 val check_dir : dir:string -> n:int -> (unit, string) result
 (** One-line error if any of the [n] socket paths under [dir] would
-    overflow [sun_path]. {!create} enforces this with [Invalid_argument];
-    callers with a CLI surface should check first and report cleanly. *)
+    overflow [sun_path]. Callers with a CLI surface should check first
+    and report cleanly. *)
 
-val wait_for_peers : 'a t -> timeout:float -> bool
-(** Block (sleeping in small steps) until every peer socket file exists;
-    [false] on timeout. Gen-0 startup barrier. *)
-
-val transport : 'a t -> 'a Transport.t
-
+val transport : 'a t -> 'a Link.Transport.t
 val unacked_count : 'a t -> int
-(** Control frames not yet acknowledged. *)
-
 val stats : 'a t -> (string * int) list
-(** [sent_data], [sent_control], [retransmits], [received],
-    [send_errors], [faults_dropped], [faults_duplicated],
-    [partition_blocked]. *)
-
 val close : 'a t -> unit
-(** Deregister from the loop and close the socket (the path is left for
-    a successor incarnation to rebind). *)
-
-val link : 'a t -> 'a Link.t
-(** The mesh behind the transport-agnostic {!Link} interface. *)
-
-val factory :
-  ?retransmit_every:float ->
-  ?faults:faults ->
-  dir:string ->
-  n:int ->
-  seed:int64 ->
-  unit ->
-  Link.factory
-(** A {!Link.factory} for the UDS mesh. [seed] is the run seed; each
-    [make ~me ~gen] derives the per-incarnation PRNG seed
-    ([seed + 1 + me + gen*n]) and control-sequence base
-    ([gen * 1_000_000]) exactly as the live worker historically did. *)
+(** {!Link.transport}, {!Link.unacked_count}, {!Link.stats} and
+    {!Link.close}. Closing leaves the socket path for a successor
+    incarnation to rebind. *)

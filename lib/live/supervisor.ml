@@ -25,7 +25,7 @@ type cfg = {
   hops : int;
   pattern : Traffic.pattern;
   faults : (float * int) list;  (** (seconds into the run, pid) SIGKILLs *)
-  net_faults : Livenet.faults;  (** seeded drops/dups/partitions *)
+  net_faults : Link.faults;  (** seeded drops/dups/partitions *)
   restart_delay : float;
   jitter : float * float;
   telemetry : Worker.telemetry;
@@ -44,7 +44,7 @@ let default_cfg =
     hops = 3;
     pattern = Traffic.Uniform;
     faults = [];
-    net_faults = Livenet.no_faults;
+    net_faults = Link.no_faults;
     restart_delay = 0.3;
     jitter = (0.001, 0.02);
     telemetry = Worker.Full;
@@ -70,12 +70,8 @@ let validate cfg =
   if cfg.n < 2 then fail "n must be at least 2 (got %d)" cfg.n;
   (* Catch an over-long --dir here, before any worker hits the opaque
      [Unix.bind] EINVAL/ENAMETOOLONG deep inside its fork. *)
-  (match cfg.link with
-  | Some _ -> () (* non-UDS fabric: no socket paths under [dir] *)
-  | None -> (
-      match Livenet.check_dir ~dir:cfg.dir ~n:cfg.n with
-      | Ok () -> ()
-      | Error e -> fail "%s" e));
+  if Option.is_none cfg.link then
+    Result.iter_error (fail "%s") (Livenet.check_dir ~dir:cfg.dir ~n:cfg.n);
   if cfg.duration <= 0.0 then fail "duration must be positive";
   if cfg.settle < 0.0 then fail "settle must be non-negative";
   if cfg.rate <= 0.0 then fail "rate must be positive";
@@ -94,7 +90,7 @@ let validate cfg =
   if not (rate_ok cfg.net_faults.dup_rate) then
     fail "dup rate must be in [0, 1) (got %g)" cfg.net_faults.dup_rate;
   List.iter
-    (fun (p : Livenet.partition) ->
+    (fun (p : Link.partition) ->
       if p.pt_start < 0.0 || p.pt_stop <= p.pt_start then
         fail "partition window [%g, %g) is empty or negative" p.pt_start
           p.pt_stop;
@@ -143,7 +139,7 @@ let spawn cfg ~base ~pid ~gen =
       jitter = cfg.jitter;
       faults = cfg.net_faults;
       telemetry = cfg.telemetry;
-      link = cfg.link;
+      link = Option.value cfg.link ~default:(Livenet.factory ~dir:cfg.dir);
     }
   in
   match Unix.fork () with
@@ -260,69 +256,69 @@ let supervise cfg ~base ~workers =
       List.map (fun pid -> (pid, Hashtbl.find gens pid)) workers;
   }
 
-let run cfg =
-  validate cfg;
-  clean_dir cfg;
-  let base = Unix.gettimeofday () in
-  let sv =
-    supervise cfg ~base ~workers:(List.init cfg.n (fun pid -> pid))
-  in
-  let crashes = ref sv.sv_crashes in
-  let clean_exits = ref sv.sv_clean_exits in
-  let gens = Array.make cfg.n 0 in
-  List.iter (fun (pid, g) -> gens.(pid) <- g) sv.sv_gens;
-  let events, dropped = Merge.run ~dir:cfg.dir ~out:(merged_file cfg.dir) in
-  ignore
-    (Merge.chrome ~src:(merged_file cfg.dir) ~out:(chrome_file cfg.dir));
+(* The [run.json] every live run writes, single-host or cluster; a
+   cluster run puts its own fields ([extra]) first. *)
+let write_summary ?(extra = []) cfg sv ~events ~dropped =
   let summary =
     Json.Obj
-      [
-        ("protocol", Json.String (Registry.name cfg.protocol));
-        ("telemetry", Json.String (Worker.telemetry_name cfg.telemetry));
-        ("n", Json.Int cfg.n);
-        ("seed", Json.String (Int64.to_string cfg.seed));
-        ("duration", Json.Float cfg.duration);
-        ("settle", Json.Float cfg.settle);
-        ("rate", Json.Float cfg.rate);
-        ("hops", Json.Int cfg.hops);
-        ( "faults",
-          Json.List
-            (List.map
-               (fun (at, pid) ->
-                 Json.Obj [ ("at", Json.Float at); ("pid", Json.Int pid) ])
-               cfg.faults) );
-        ("drop_rate", Json.Float cfg.net_faults.drop_rate);
-        ("dup_rate", Json.Float cfg.net_faults.dup_rate);
-        ( "partitions",
-          Json.List
-            (List.map
-               (fun (p : Livenet.partition) ->
-                 Json.Obj
-                   [
-                     ("start", Json.Float p.pt_start);
-                     ("stop", Json.Float p.pt_stop);
-                     ( "island",
-                       Json.List (List.map (fun i -> Json.Int i) p.pt_island)
-                     );
-                   ])
-               cfg.net_faults.partitions) );
-        ("crashes", Json.Int !crashes);
-        ("clean_exits", Json.Int !clean_exits);
-        ("events", Json.Int events);
-        ("dropped_lines", Json.Int dropped);
-        ( "generations",
-          Json.List (Array.to_list (Array.map (fun g -> Json.Int g) gens)) );
-      ]
+      (extra
+      @ [
+          ("protocol", Json.String (Registry.name cfg.protocol));
+          ("telemetry", Json.String (Worker.telemetry_name cfg.telemetry));
+          ("n", Json.Int cfg.n);
+          ("seed", Json.String (Int64.to_string cfg.seed));
+          ("duration", Json.Float cfg.duration);
+          ("settle", Json.Float cfg.settle);
+          ("rate", Json.Float cfg.rate);
+          ("hops", Json.Int cfg.hops);
+          ( "faults",
+            Json.List
+              (List.map
+                 (fun (at, pid) ->
+                   Json.Obj [ ("at", Json.Float at); ("pid", Json.Int pid) ])
+                 cfg.faults) );
+          ("drop_rate", Json.Float cfg.net_faults.drop_rate);
+          ("dup_rate", Json.Float cfg.net_faults.dup_rate);
+          ( "partitions",
+            Json.List
+              (List.map
+                 (fun (p : Link.partition) ->
+                   Json.Obj
+                     [
+                       ("start", Json.Float p.pt_start);
+                       ("stop", Json.Float p.pt_stop);
+                       ( "island",
+                         Json.List (List.map (fun i -> Json.Int i) p.pt_island)
+                       );
+                     ])
+                 cfg.net_faults.partitions) );
+          ("crashes", Json.Int sv.sv_crashes);
+          ("clean_exits", Json.Int sv.sv_clean_exits);
+          ("events", Json.Int events);
+          ("dropped_lines", Json.Int dropped);
+          ( "generations",
+            Json.List (List.map (fun (_, g) -> Json.Int g) sv.sv_gens) );
+        ])
   in
   let oc = open_out (run_file cfg.dir) in
   output_string oc (Json.to_string summary);
   output_string oc "\n";
-  close_out oc;
+  close_out oc
+
+let run cfg =
+  validate cfg;
+  clean_dir cfg;
+  let base = Unix.gettimeofday () in
+  let sv = supervise cfg ~base ~workers:(List.init cfg.n Fun.id) in
+  let events, dropped = Merge.run ~dir:cfg.dir ~out:(merged_file cfg.dir) in
+  ignore
+    (Merge.chrome ~src:(merged_file cfg.dir) ~out:(chrome_file cfg.dir));
+  write_summary cfg sv ~events ~dropped;
   {
     merged = merged_file cfg.dir;
     chrome = chrome_file cfg.dir;
     events;
     dropped;
-    crashes = !crashes;
-    clean_exits = !clean_exits;
+    crashes = sv.sv_crashes;
+    clean_exits = sv.sv_clean_exits;
   }

@@ -23,16 +23,13 @@ type cfg = {
   hops : int;
   pattern : Traffic.pattern;
   faults : (float * int) list;  (** (seconds into the run, pid) SIGKILLs *)
-  net_faults : Livenet.faults;
+  net_faults : Link.faults;
       (** seeded Data-lane drops/dups and burst partitions, passed to
           every worker's transport *)
   restart_delay : float;  (** crash-to-respawn delay, seconds *)
   jitter : float * float;
   telemetry : Worker.telemetry;  (** passed to every worker *)
-  link : Link.factory option;
-      (** [None] = the classic UDS mesh under [dir]; [Some f] = an
-          alternative fabric (the cluster's TCP link) given to every
-          worker *)
+  link : Link.factory option;  (** every worker's fabric; [None] = UDS *)
 }
 
 val default_cfg : cfg
@@ -76,6 +73,12 @@ val supervise : cfg -> base:float -> workers:int list -> sv_result
     run's shared time origin and may lie in the future (coordinated
     multi-host start); the fault schedule is filtered to [workers].
     Does not validate, clean the directory, or merge traces. *)
+
+val write_summary :
+  ?extra:(string * Optimist_obs.Json.t) list ->
+  cfg -> sv_result -> events:int -> dropped:int -> unit
+(** Write [dir/run.json]: parameters, whole fault plan, outcome; [extra]
+    fields first. *)
 
 val run : cfg -> result
 (** Blocks for [duration + settle] seconds plus shutdown grace. *)

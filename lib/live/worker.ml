@@ -33,12 +33,9 @@ type cfg = {
   hops : int;
   pattern : Traffic.pattern;
   jitter : float * float;
-  faults : Livenet.faults;
+  faults : Link.faults;
   telemetry : telemetry;
-  link : Link.factory option;
-      (** [None] = the classic single-host UDS mesh built from [dir],
-          [faults] and [seed]; [Some f] = an alternative fabric (the
-          cluster's TCP link). *)
+  link : Link.factory;
 }
 
 let trace_file ~dir ~me ~gen =
@@ -216,19 +213,13 @@ let stable_store sctx store =
   }
 
 let run (module P : Protocol.S) cfg loop sctx =
-  let factory =
-    match cfg.link with
-    | Some f -> f
-    | None ->
-        Livenet.factory ~faults:cfg.faults ~dir:cfg.dir ~n:cfg.n
-          ~seed:cfg.seed ()
-  in
   let link =
-    factory.Link.make ~loop ~me:cfg.me ~gen:cfg.gen ~jitter:cfg.jitter
+    Link.incarnation cfg.link ~loop ~me:cfg.me ~gen:cfg.gen ~n:cfg.n
+      ~seed:cfg.seed ~faults:cfg.faults ~jitter:cfg.jitter
   in
   (* Gen 0 waits for the whole mesh to come up before the protocol starts
      talking; restarted incarnations find every peer already present. *)
-  if not (link.Link.ready ~timeout:10.0) then (
+  if not (Link.ready link ~timeout:10.0) then (
     prerr_endline
       (Printf.sprintf "worker %d: peers did not appear within 10s" cfg.me);
     exit 1);
@@ -237,14 +228,15 @@ let run (module P : Protocol.S) cfg loop sctx =
      metrics, in separate link.*-valued records: the recovery profiler
      keys on "delivered"/"recovery.*" and ignores them, while the bench
      and dashboards get per-link byte/frame/reconnect series for free. *)
-  schedule_snapshots cfg loop ~ver:(fun () -> cfg.gen) link.Link.snapshot;
+  schedule_snapshots cfg loop ~ver:(fun () -> cfg.gen) (fun () ->
+      Link.snapshot link);
   let rec_span =
     if cfg.gen > 0 then Some (Span.start sctx "recovery") else None
   in
   let bytes_before = Store.bytes_read store in
   let p =
     P.create_rt ~rt:(Loop.runtime loop)
-      ~net:(span_transport sctx link.Link.transport)
+      ~net:(span_transport sctx (Link.transport link))
       ~app:(Traffic.app ~n:cfg.n cfg.pattern)
       ~id:cfg.me ~n:cfg.n ~gen:cfg.gen ~store:(stable_store sctx store)
       ~next_uid:(uid_gen cfg) ()
@@ -270,13 +262,13 @@ let run (module P : Protocol.S) cfg loop sctx =
     match P.incarnation p with Some v -> v | None -> Store.load_gen store
   in
   emit_snapshot cfg loop ~ver:cfg.gen
-    (("gen", float_of_int cfg.gen) :: link.Link.snapshot ());
+    (("gen", float_of_int cfg.gen) :: Link.snapshot link);
   write_stats cfg
-    ~net_stats:(link.Link.stats ())
+    ~net_stats:(Link.stats link)
     ~store_stats:(Store.stats store) ~counters:(P.counters p)
     ~digest:(Traffic.digest (P.state p)) ~epoch;
   Store.close store;
-  link.Link.close ()
+  Link.close link
 
 let main cfg =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;

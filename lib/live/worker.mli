@@ -47,12 +47,9 @@ type cfg = {
   hops : int;
   pattern : Traffic.pattern;
   jitter : float * float;  (** Data-lane send-delay range, seconds *)
-  faults : Livenet.faults;  (** seeded network-fault plan *)
+  faults : Link.faults;  (** seeded network-fault plan *)
   telemetry : telemetry;
-  link : Link.factory option;
-      (** [None] = the classic single-host UDS mesh built from [dir],
-          [faults] and [seed]; [Some f] = an alternative fabric (the
-          cluster's TCP link) *)
+  link : Link.factory;  (** the fabric: UDS under [dir], or TCP *)
 }
 
 val trace_file : dir:string -> me:int -> gen:int -> string

@@ -98,9 +98,6 @@ module S = struct
     counters @ gauges t @ summaries @ histograms
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-  let snapshot_prefixed ~prefix t =
-    List.map (fun (k, v) -> (prefix ^ k, v)) (snapshot t)
-
   let pp ppf t =
     Format.fprintf ppf "@[<v>%s/p%d:" t.labels.protocol t.labels.process;
     List.iter

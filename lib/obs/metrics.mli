@@ -72,12 +72,6 @@ module Scope : sig
       [name.p50], [name.p95] (interpolated quantiles). Deterministic
       for a given scope state. *)
 
-  val snapshot_prefixed : prefix:string -> t -> (string * float) list
-  (** {!snapshot} with [prefix] prepended to every name — how wire-level
-      scopes (the cluster links' ["link."] namespace) embed into a
-      worker's snapshot stream without colliding with protocol metric
-      names. *)
-
   val pp : Format.formatter -> t -> unit
 end
 

@@ -1,7 +1,7 @@
 module Worker = Optimist_live.Worker
 module Registry = Optimist_protocols.Registry
 module Supervisor = Optimist_live.Supervisor
-module Livenet = Optimist_live.Livenet
+module Link = Optimist_live.Link
 module Check = Optimist_check.Check
 module Trace = Optimist_obs.Trace
 module Json = Optimist_obs.Json
@@ -47,6 +47,21 @@ let oracle_check ~crashes merged =
          crashes !restarts)
   else None
 
+let net_faults (s : Scenario.t) =
+  {
+    Link.drop_rate = s.sc_drop;
+    dup_rate = s.sc_dup;
+    partitions =
+      List.map
+        (fun p ->
+          {
+            Link.pt_start = p.Scenario.pr_start;
+            pt_stop = p.Scenario.pr_stop;
+            pt_island = p.Scenario.pr_island;
+          })
+        s.sc_partitions;
+  }
+
 let supervisor_cfg ~dir (s : Scenario.t) =
   match Registry.of_string s.Scenario.sc_protocol with
   | None ->
@@ -65,20 +80,7 @@ let supervisor_cfg ~dir (s : Scenario.t) =
           pattern = Traffic.Uniform;
           faults =
             List.map (fun k -> (k.Scenario.kl_at, k.Scenario.kl_pid)) s.sc_kills;
-          net_faults =
-            {
-              Livenet.drop_rate = s.sc_drop;
-              dup_rate = s.sc_dup;
-              partitions =
-                List.map
-                  (fun p ->
-                    {
-                      Livenet.pt_start = p.Scenario.pr_start;
-                      pt_stop = p.Scenario.pr_stop;
-                      pt_island = p.Scenario.pr_island;
-                    })
-                  s.sc_partitions;
-            };
+          net_faults = net_faults s;
           restart_delay = s.sc_restart_delay;
           jitter = Supervisor.default_cfg.Supervisor.jitter;
           telemetry = Worker.Full;

@@ -31,6 +31,9 @@ val assess :
     count. Shared by {!run_scenario} and alternative runners (the
     cluster's multi-host runner) that produce the same triple. *)
 
+val net_faults : Scenario.t -> Optimist_live.Link.faults
+(** The scenario's network-fault plan (drops, dups, partitions). *)
+
 val run_scenario : dir:string -> Scenario.t -> (run_result, string) result
 (** One live run of the scenario in [dir] (cleared first), linted
     against {!Optimist_protocols.Registry.live_check_rules} for its protocol.

@@ -1,0 +1,184 @@
+(* The lane semantics of Optimist_live.Link, as one table of cases run
+   over every fabric: the live suite runs it over Livenet, the cluster
+   suite over the TCP mesh. A case is written once against [Link]; the
+   fabric only decides how frames move. *)
+
+module Loop = Optimist_live.Loop
+module Link = Optimist_live.Link
+module Transport = Optimist_core.Transport
+module Prng = Optimist_util.Prng
+
+(* A fresh two-worker mesh: its factory, and a way to put raw bytes on
+   the wire to worker [dst] as one frame, bypassing the lanes. *)
+type mesh = {
+  factory : Link.factory;
+  inject : dst:int -> Bytes.t -> unit;
+}
+
+type fabric = {
+  label : string;  (** test-name prefix *)
+  fresh : unit -> mesh;
+}
+
+let endpoint ?faults m loop ~me ~seed : string Link.t =
+  Link.create ~retransmit_every:0.02 ?faults ~loop ~me ~n:2 ~seed m.factory
+
+let new_loop () = Loop.create ~base:(Unix.gettimeofday ()) ()
+let send l lane payload = (Link.transport l).Transport.send ~lane ~src:0 ~dst:1 payload
+
+(* Record what [l] (worker [me]) delivers, newest first. *)
+let inbox l ~me =
+  let got = ref [] in
+  (Link.transport l).Transport.set_handler me (fun m -> got := m :: !got);
+  got
+
+let stat l key = List.assoc key (Link.stats l)
+
+let connect a b =
+  Alcotest.(check bool) "mesh ready" true
+    (Link.ready a ~timeout:5.0 && Link.ready b ~timeout:5.0)
+
+let data_and_control m =
+  let loop = new_loop () in
+  let a = endpoint m loop ~me:0 ~seed:11L in
+  let b = endpoint m loop ~me:1 ~seed:12L in
+  connect a b;
+  let got = inbox b ~me:1 in
+  send a Transport.Data "data";
+  send a Transport.Control "ctl";
+  Loop.run loop ~until:(Loop.now loop +. 0.4);
+  Alcotest.(check (list string)) "both lanes delivered" [ "ctl"; "data" ]
+    (List.sort compare !got);
+  Alcotest.(check int) "control acked" 0 (Link.unacked_count a);
+  Link.close a;
+  Link.close b
+
+(* A control frame sent before the destination even exists must reach it
+   once it is up — the live analogue of tokens queued across downtime —
+   and be delivered exactly once despite retransmission. *)
+let control_reaches_late_peer m =
+  let loop = new_loop () in
+  let a = endpoint m loop ~me:0 ~seed:3L in
+  send a Transport.Control "tok";
+  Loop.run loop ~until:0.1;
+  Alcotest.(check int) "still unacked" 1 (Link.unacked_count a);
+  let b = endpoint m loop ~me:1 ~seed:4L in
+  let got = inbox b ~me:1 in
+  connect a b;
+  Loop.run loop ~until:(Loop.now loop +. 0.5);
+  Alcotest.(check (list string)) "delivered exactly once" [ "tok" ] !got;
+  Alcotest.(check int) "acked after retry" 0 (Link.unacked_count a);
+  Link.close a;
+  Link.close b
+
+let data_to_dead_peer_drops m =
+  let loop = new_loop () in
+  let a = endpoint m loop ~me:0 ~seed:5L in
+  send a Transport.Data "vanishes";
+  Loop.run loop ~until:0.1;
+  Alcotest.(check int) "counted as a wire drop" 1 (stat a "send_errors");
+  Link.close a
+
+(* A sustained one-way partition (only the sender's gate is configured,
+   so the reverse path stays open): control frames pile up unacked while
+   the window is shut, then heal through retransmission — and the
+   receiver's dedup must keep delivery exactly-once despite every
+   retransmit that piled up arriving at once. *)
+let partition_heals m =
+  let loop = new_loop () in
+  let faults =
+    {
+      Link.no_faults with
+      partitions = [ { Link.pt_start = 0.0; pt_stop = 0.3; pt_island = [ 0 ] } ];
+    }
+  in
+  let a = endpoint ~faults m loop ~me:0 ~seed:21L in
+  let b = endpoint m loop ~me:1 ~seed:22L in
+  connect a b;
+  let got = inbox b ~me:1 in
+  send a Transport.Control "t1";
+  send a Transport.Control "t2";
+  Loop.run loop ~until:0.2;
+  Alcotest.(check int) "unacked grows while partitioned" 2
+    (Link.unacked_count a);
+  Alcotest.(check (list string)) "nothing crossed the partition" [] !got;
+  Alcotest.(check bool) "sends were gated, not lost silently" true
+    (stat a "partition_blocked" > 0);
+  Loop.run loop ~until:0.8;
+  Alcotest.(check (list string)) "delivered exactly once after heal"
+    [ "t1"; "t2" ] (List.sort compare !got);
+  Alcotest.(check int) "drained to zero after heal" 0 (Link.unacked_count a);
+  Link.close a;
+  Link.close b
+
+(* The seeded fault plan draws, per Data send: drop?, then (if kept) a
+   jitter delay, dup?, and a second delay for the duplicate. Replaying
+   that order on a bare PRNG predicts the counts exactly, so every
+   fabric must report the same ones for the same seed. *)
+let drop_dup_match_reference m =
+  let drop_rate = 0.3 and dup_rate = 0.3 and sends = 40 and seed = 77L in
+  let rng = Prng.create seed and dropped = ref 0 and duplicated = ref 0 in
+  for _ = 1 to sends do
+    if Prng.bernoulli rng drop_rate then incr dropped
+    else begin
+      ignore (Prng.float rng 0.019);
+      if Prng.bernoulli rng dup_rate then begin
+        incr duplicated;
+        ignore (Prng.float rng 0.019)
+      end
+    end
+  done;
+  let loop = new_loop () in
+  let faults = { Link.no_faults with drop_rate; dup_rate } in
+  let a = endpoint ~faults m loop ~me:0 ~seed in
+  let b = endpoint m loop ~me:1 ~seed:78L in
+  connect a b;
+  let got = inbox b ~me:1 in
+  for i = 1 to sends do
+    send a Transport.Data (string_of_int i)
+  done;
+  Loop.run loop ~until:(Loop.now loop +. 0.4);
+  Alcotest.(check int) "drops" !dropped (stat a "faults_dropped");
+  Alcotest.(check int) "duplicates" !duplicated (stat a "faults_duplicated");
+  Alcotest.(check int) "every written copy arrives or is a send error"
+    (sends - !dropped + !duplicated)
+    (List.length !got + stat a "send_errors");
+  Link.close a;
+  Link.close b
+
+(* One frame from a source outside the mesh (the receiver would ack it
+   to that pid), then one undecodable frame: both are counted and
+   dropped, and the receiver goes on delivering. *)
+let rejects_bad_frames m =
+  let loop = new_loop () in
+  let a = endpoint m loop ~me:0 ~seed:41L in
+  let b = endpoint m loop ~me:1 ~seed:42L in
+  connect a b;
+  let got = inbox b ~me:1 in
+  m.inject ~dst:1
+    (Marshal.to_bytes (Link.Ctl_msg { src = 7; seq = 1; payload = "forged" }) []);
+  send a Transport.Control "after";
+  Loop.run loop ~until:(Loop.now loop +. 0.3);
+  Alcotest.(check (list string)) "valid frame still delivered" [ "after" ] !got;
+  Alcotest.(check int) "out-of-range source rejected" 1 (stat b "rejected");
+  m.inject ~dst:1 (Bytes.of_string "not a marshalled frame");
+  send a Transport.Data "still";
+  Loop.run loop ~until:(Loop.now loop +. 0.3);
+  Alcotest.(check (list string)) "and after garbage" [ "still"; "after" ] !got;
+  Alcotest.(check int) "garbage rejected" 2 (stat b "rejected");
+  Link.close a;
+  Link.close b
+
+let cases fabric =
+  List.map
+    (fun (name, case) ->
+      Alcotest.test_case (fabric.label ^ ": " ^ name) `Quick (fun () ->
+          case (fabric.fresh ())))
+    [
+      ("data and control delivery", data_and_control);
+      ("control reaches a late peer", control_reaches_late_peer);
+      ("data to dead peer drops", data_to_dead_peer_drops);
+      ("one-way partition heals exactly-once", partition_heals);
+      ("seeded drop/dup match the reference draws", drop_dup_match_reference);
+      ("bad frames are rejected, not fatal", rejects_bad_frames);
+    ]

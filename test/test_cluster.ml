@@ -1,14 +1,16 @@
-(* Tests of the cluster subsystem: the TCP mesh link (framing, both
-   lanes, reconnection, backoff to a late peer), the coordinator's pid
+(* Tests of the cluster subsystem: the TCP mesh link (the shared lane
+   table, plus framing, reconnection and heartbeats), the coordinator's pid
    partitioning, the agent protocol plumbing, and one end-to-end
    two-agent localhost cluster run with a real SIGKILL. *)
 
 module Loop = Optimist_live.Loop
 module Tcplink = Optimist_cluster.Tcplink
+module Link = Optimist_live.Link
 module Coordinator = Optimist_cluster.Coordinator
 module Worker = Optimist_live.Worker
 module Transport = Optimist_core.Transport
 module Trace = Optimist_obs.Trace
+module Json = Optimist_obs.Json
 module Check = Optimist_check.Check
 module Validate = Optimist_util.Validate
 
@@ -35,154 +37,112 @@ let port_base =
 
 let endpoints base n = Array.init n (fun i -> ("127.0.0.1", base + i))
 
-let make_pair ?faults_a ?(retransmit_every = 0.05) loop base =
-  let eps = endpoints base 2 in
-  let a =
-    Tcplink.create ?faults:faults_a ~retransmit_every ~loop ~endpoints:eps
-      ~me:0 ~n:2 ~seed:31L ()
-  in
-  let b =
-    Tcplink.create ~retransmit_every ~loop ~endpoints:eps ~me:1 ~n:2
-      ~seed:32L ()
-  in
-  (a, b)
+(* One length-prefixed frame on a fresh connection to [ep]'s listener. *)
+let inject_frame (host, port) body =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
+  let n = Bytes.length body in
+  let out = Bytes.create (4 + n) in
+  Bytes.set_int32_be out 0 (Int32.of_int n);
+  Bytes.blit body 0 out 4 n;
+  ignore (Unix.write fd out 0 (4 + n));
+  Unix.close fd
 
-let test_tcp_data_and_control () =
-  let loop = Loop.create ~base:(Unix.gettimeofday ()) () in
-  let a, b = make_pair loop (port_base ()) in
+let tcp =
+  {
+    Lanes.label = "tcp link";
+    fresh =
+      (fun () ->
+        let eps = endpoints (port_base ()) 2 in
+        {
+          Lanes.factory = Tcplink.factory ~endpoints:eps;
+          inject = (fun ~dst body -> inject_frame eps.(dst) body);
+        });
+  }
+
+let tcp_endpoint ?seq_base loop base ~me ~seed : string Link.t =
+  Link.create ~retransmit_every:0.05 ?seq_base ~loop ~me ~n:2 ~seed
+    (Tcplink.factory ~endpoints:(endpoints base 2))
+
+let make_pair loop base =
+  let make me seed = tcp_endpoint loop base ~me ~seed in
+  let a = make 0 31L and b = make 1 32L in
   Alcotest.(check bool) "mesh connects" true
-    (Tcplink.wait_connected a ~timeout:5.0
-    && Tcplink.wait_connected b ~timeout:5.0);
-  let got = ref [] in
-  (Tcplink.transport b).Transport.set_handler 1 (fun m -> got := m :: !got);
-  (Tcplink.transport a).Transport.set_handler 0 (fun _ -> ());
-  (Tcplink.transport a).Transport.send ~lane:Transport.Data ~src:0 ~dst:1
-    "data";
-  (Tcplink.transport a).Transport.send ~lane:Transport.Control ~src:0 ~dst:1
-    "ctl";
-  Loop.run loop ~until:0.4;
-  Alcotest.(check (list string)) "both lanes delivered" [ "ctl"; "data" ]
-    (List.sort compare !got);
-  Alcotest.(check int) "control acked" 0 (Tcplink.unacked_count a);
-  Tcplink.close a;
-  Tcplink.close b
-
-let test_tcp_control_reaches_late_peer () =
-  (* Control sent before the peer has even bound its port: the sender
-     backs off, reconnects once the listener appears, and the retransmit
-     timer delivers the frame exactly once. *)
-  let loop = Loop.create ~base:(Unix.gettimeofday ()) () in
-  let base = port_base () in
-  let eps = endpoints base 2 in
-  let a =
-    Tcplink.create ~retransmit_every:0.05 ~loop ~endpoints:eps ~me:0 ~n:2
-      ~seed:33L ()
-  in
-  (Tcplink.transport a).Transport.set_handler 0 (fun _ -> ());
-  (Tcplink.transport a).Transport.send ~lane:Transport.Control ~src:0 ~dst:1
-    "tok";
-  Loop.run loop ~until:0.15;
-  Alcotest.(check int) "still unacked" 1 (Tcplink.unacked_count a);
-  let b =
-    Tcplink.create ~retransmit_every:0.05 ~loop ~endpoints:eps ~me:1 ~n:2
-      ~seed:34L ()
-  in
-  let got = ref [] in
-  (Tcplink.transport b).Transport.set_handler 1 (fun m -> got := m :: !got);
-  Alcotest.(check bool) "late peer reachable" true
-    (Tcplink.wait_connected a ~timeout:5.0);
-  Loop.run loop ~until:1.0;
-  Alcotest.(check (list string)) "delivered exactly once" [ "tok" ] !got;
-  Alcotest.(check int) "acked after retry" 0 (Tcplink.unacked_count a);
-  Tcplink.close a;
-  Tcplink.close b
+    (Link.ready a ~timeout:5.0 && Link.ready b ~timeout:5.0);
+  (a, b)
 
 let test_tcp_reconnects_after_peer_restart () =
   (* Tear the receiving end down mid-conversation and bring a new
      incarnation up on the same port: the sender's failure detector must
      rebuild the connection (visible as reconnects > 0) and control
      traffic queued across the outage must arrive exactly once. *)
-  let loop = Loop.create ~base:(Unix.gettimeofday ()) () in
+  let loop = Lanes.new_loop () in
   let base = port_base () in
-  let eps = endpoints base 2 in
-  let a =
-    Tcplink.create ~retransmit_every:0.05 ~loop ~endpoints:eps ~me:0 ~n:2
-      ~seed:35L ()
-  in
-  let b =
-    Tcplink.create ~retransmit_every:0.05 ~loop ~endpoints:eps ~me:1 ~n:2
-      ~seed:36L ()
-  in
-  (Tcplink.transport a).Transport.set_handler 0 (fun _ -> ());
-  let got = ref [] in
-  (Tcplink.transport b).Transport.set_handler 1 (fun m -> got := m :: !got);
-  Alcotest.(check bool) "initial mesh up" true
-    (Tcplink.wait_connected a ~timeout:5.0);
-  (Tcplink.transport a).Transport.send ~lane:Transport.Control ~src:0 ~dst:1
-    "before";
+  let a, b = make_pair loop base in
+  let got = Lanes.inbox b ~me:1 in
+  Lanes.send a Transport.Control "before";
   Loop.run loop ~until:0.3;
   Alcotest.(check (list string)) "first frame arrives" [ "before" ] !got;
-  Tcplink.close b;
+  Link.close b;
   (* Queued while the peer is dead: a real outage, not a quiet queue. *)
-  (Tcplink.transport a).Transport.send ~lane:Transport.Control ~src:0 ~dst:1
-    "during";
+  Lanes.send a Transport.Control "during";
   Loop.run loop ~until:0.6;
-  let b' =
-    Tcplink.create ~retransmit_every:0.05 ~seq_base:1_000_000 ~loop
-      ~endpoints:eps ~me:1 ~n:2 ~seed:37L ()
-  in
-  let got' = ref [] in
-  (Tcplink.transport b').Transport.set_handler 1 (fun m -> got' := m :: !got');
-  Alcotest.(check bool) "mesh heals" true
-    (Tcplink.wait_connected a ~timeout:5.0);
+  let b' = tcp_endpoint ~seq_base:1_000_000 loop base ~me:1 ~seed:37L in
+  let got' = Lanes.inbox b' ~me:1 in
+  Alcotest.(check bool) "mesh heals" true (Link.ready a ~timeout:5.0);
   Loop.run loop ~until:1.5;
   Alcotest.(check (list string)) "outage-spanning control arrives once"
     [ "during" ] !got';
-  Alcotest.(check int) "nothing left unacked" 0 (Tcplink.unacked_count a);
-  Alcotest.(check bool) "reconnect counted" true
-    (List.assoc "reconnects" (Tcplink.stats a) > 0);
-  Tcplink.close a;
-  Tcplink.close b'
+  Alcotest.(check int) "nothing left unacked" 0 (Link.unacked_count a);
+  Alcotest.(check bool) "reconnect counted" true (Lanes.stat a "reconnects" > 0);
+  Link.close a;
+  Link.close b'
 
 let test_tcp_large_frame () =
   (* A payload far bigger than any single read(2) must reassemble
      through the length-prefixed framing. *)
-  let loop = Loop.create ~base:(Unix.gettimeofday ()) () in
+  let loop = Lanes.new_loop () in
   let a, b = make_pair loop (port_base ()) in
-  Alcotest.(check bool) "mesh connects" true
-    (Tcplink.wait_connected a ~timeout:5.0);
   let payload = String.init 300_000 (fun i -> Char.chr (i mod 251)) in
-  let got = ref None in
-  (Tcplink.transport b).Transport.set_handler 1 (fun m -> got := Some m);
-  (Tcplink.transport a).Transport.set_handler 0 (fun _ -> ());
-  (Tcplink.transport a).Transport.send ~lane:Transport.Control ~src:0 ~dst:1
-    payload;
+  let got = Lanes.inbox b ~me:1 in
+  Lanes.send a Transport.Control payload;
   Loop.run loop ~until:0.6;
-  (match !got with
-  | Some m -> Alcotest.(check bool) "payload intact" true (String.equal m payload)
-  | None -> Alcotest.fail "large frame not delivered");
-  Tcplink.close a;
-  Tcplink.close b
+  Alcotest.(check bool) "payload intact" true (!got = [ payload ]);
+  Link.close a;
+  Link.close b
 
 let test_tcp_snapshot_has_link_metrics () =
-  let loop = Loop.create ~base:(Unix.gettimeofday ()) () in
+  let loop = Lanes.new_loop () in
   let a, b = make_pair loop (port_base ()) in
-  Alcotest.(check bool) "mesh connects" true
-    (Tcplink.wait_connected a ~timeout:5.0);
-  (Tcplink.transport a).Transport.set_handler 0 (fun _ -> ());
-  (Tcplink.transport b).Transport.set_handler 1 (fun _ -> ());
-  (Tcplink.transport a).Transport.send ~lane:Transport.Data ~src:0 ~dst:1 "x";
+  Lanes.send a Transport.Data "x";
   Loop.run loop ~until:0.8;
-  let snap = Tcplink.snapshot a in
+  let snap = Link.snapshot a in
   List.iter
     (fun key ->
       Alcotest.(check bool) (key ^ " present") true (List.mem_assoc key snap))
-    [ "link.frames_sent"; "link.bytes_sent"; "link.connects";
-      "link.hb_rtt_ms.count"; "link.hb_rtt_ms.p95" ];
+    [ "link.sent_data"; "link.rejected"; "link.frames_sent"; "link.bytes_sent";
+      "link.connects"; "link.hb_rtt_ms.count"; "link.hb_rtt_ms.p95" ];
   Alcotest.(check bool) "heartbeats measured" true
     (List.assoc "link.hb_rtt_ms.count" snap > 0.0);
-  Tcplink.close a;
-  Tcplink.close b
+  Link.close a;
+  Link.close b
+
+let test_tcp_rejects_bad_heartbeat () =
+  (* A ping from a pid outside the mesh would be ponged to that pid. *)
+  let loop = Lanes.new_loop () in
+  let base = port_base () in
+  let a, b = make_pair loop base in
+  let ping = Bytes.make 13 '\000' in
+  Bytes.set ping 0 '\001';
+  Bytes.set_int32_be ping 1 9l;
+  inject_frame (endpoints base 2).(1) ping;
+  let got = Lanes.inbox b ~me:1 in
+  Lanes.send a Transport.Control "after";
+  Loop.run loop ~until:0.4;
+  Alcotest.(check (list string)) "still delivering" [ "after" ] !got;
+  Alcotest.(check int) "ping rejected" 1 (Lanes.stat b "rejected");
+  Link.close a;
+  Link.close b
 
 (* --- coordinator plumbing --- *)
 
@@ -242,6 +202,12 @@ let test_cluster_run_with_crash () =
       cc_rate = 6.0;
       cc_hops = 3;
       cc_kills = [ (0.7, 1) ];
+      cc_net =
+        {
+          Link.no_faults with
+          partitions =
+            [ { Link.pt_start = 0.4; pt_stop = 0.6; pt_island = [ 0; 1 ] } ];
+        };
       cc_worker_base = base + 8;
     }
   in
@@ -266,20 +232,33 @@ let test_cluster_run_with_crash () =
       Alcotest.(check bool) "link metrics snapshotted" true !tcp_snapshot;
       Alcotest.(check bool) "chrome timeline written" true
         (Sys.file_exists r.Coordinator.cs_chrome);
-      lint_clean r.Coordinator.cs_merged
+      lint_clean r.Coordinator.cs_merged;
+      (* run.json records the whole fault plan, partitions included. *)
+      let ic = open_in (Coordinator.run_file out) in
+      let line = input_line ic in
+      close_in ic;
+      let summary =
+        match Json.of_string line with
+        | Ok j -> j
+        | Error m -> Alcotest.failf "run.json unparsable: %s" m
+      in
+      Alcotest.(check (option string)) "transport" (Some "tcp")
+        (Option.bind (Json.mem "transport" summary) Json.string_value);
+      Alcotest.(check (option int)) "one partition recorded" (Some 1)
+        (Option.map List.length
+           (Option.bind (Json.mem "partitions" summary) Json.list_value))
 
 let suite =
-  [
-    Alcotest.test_case "tcp link: data and control delivery" `Quick
-      test_tcp_data_and_control;
-    Alcotest.test_case "tcp link: control reaches a late peer" `Quick
-      test_tcp_control_reaches_late_peer;
+  Lanes.cases tcp
+  @ [
     Alcotest.test_case "tcp link: reconnects after peer restart" `Quick
       test_tcp_reconnects_after_peer_restart;
     Alcotest.test_case "tcp link: large frame reassembly" `Quick
       test_tcp_large_frame;
     Alcotest.test_case "tcp link: snapshot carries link metrics" `Quick
       test_tcp_snapshot_has_link_metrics;
+    Alcotest.test_case "tcp link: out-of-range heartbeat rejected" `Quick
+      test_tcp_rejects_bad_heartbeat;
     Alcotest.test_case "coordinator: pid blocks are contiguous" `Quick
       test_blocks_partition_pids;
     Alcotest.test_case "validate: host:port endpoints" `Quick

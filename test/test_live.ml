@@ -8,7 +8,6 @@ module Store = Optimist_live.Store
 module Merge = Optimist_live.Merge
 module Supervisor = Optimist_live.Supervisor
 module Worker = Optimist_live.Worker
-module Transport = Optimist_core.Transport
 module Trace = Optimist_obs.Trace
 module Json = Optimist_obs.Json
 module Check = Optimist_check.Check
@@ -93,99 +92,25 @@ let test_store_torn_tail () =
     (Store.load_log st);
   Store.close st
 
-(* --- livenet --- *)
+(* --- livenet: the shared lane table over Unix-domain datagrams --- *)
 
-let test_livenet_data_and_control () =
-  let dir = temp_dir () in
-  let loop = Loop.create ~base:(Unix.gettimeofday ()) () in
-  let a = Livenet.create ~loop ~dir ~me:0 ~n:2 ~seed:11L () in
-  let b = Livenet.create ~loop ~dir ~me:1 ~n:2 ~seed:12L () in
-  let got = ref [] in
-  (Livenet.transport b).Transport.set_handler 1 (fun m -> got := m :: !got);
-  (Livenet.transport a).Transport.set_handler 0 (fun _ -> ());
-  let ta = Livenet.transport a in
-  ta.Transport.send ~lane:Transport.Data ~src:0 ~dst:1 "data";
-  ta.Transport.send ~lane:Transport.Control ~src:0 ~dst:1 "ctl";
-  Loop.run loop ~until:0.3;
-  Alcotest.(check (list string)) "both lanes delivered" [ "ctl"; "data" ]
-    (List.sort compare !got);
-  Alcotest.(check int) "control acked" 0 (Livenet.unacked_count a);
-  Livenet.close a;
-  Livenet.close b
-
-let test_livenet_control_retransmits_to_late_peer () =
-  (* A control frame sent before the destination even exists must reach
-     it once it binds — the live analogue of tokens queued across
-     downtime — and be delivered exactly once despite retransmission. *)
-  let dir = temp_dir () in
-  let loop = Loop.create ~base:(Unix.gettimeofday ()) () in
-  let a = Livenet.create ~retransmit_every:0.02 ~loop ~dir ~me:0 ~n:2 ~seed:3L () in
-  (Livenet.transport a).Transport.set_handler 0 (fun _ -> ());
-  (Livenet.transport a).Transport.send ~lane:Transport.Control ~src:0 ~dst:1
-    "tok";
-  Loop.run loop ~until:0.05;
-  Alcotest.(check int) "still unacked" 1 (Livenet.unacked_count a);
-  let b = Livenet.create ~loop ~dir ~me:1 ~n:2 ~seed:4L () in
-  let got = ref [] in
-  (Livenet.transport b).Transport.set_handler 1 (fun m -> got := m :: !got);
-  Loop.run loop ~until:0.4;
-  Alcotest.(check (list string)) "delivered exactly once" [ "tok" ] !got;
-  Alcotest.(check int) "acked after retry" 0 (Livenet.unacked_count a);
-  Livenet.close a;
-  Livenet.close b
-
-let test_livenet_data_to_dead_peer_is_dropped () =
-  let dir = temp_dir () in
-  let loop = Loop.create ~base:(Unix.gettimeofday ()) () in
-  let a = Livenet.create ~loop ~dir ~me:0 ~n:2 ~seed:5L () in
-  (Livenet.transport a).Transport.set_handler 0 (fun _ -> ());
-  (Livenet.transport a).Transport.send ~lane:Transport.Data ~src:0 ~dst:1
-    "vanishes";
-  Loop.run loop ~until:0.1;
-  let errors = List.assoc "send_errors" (Livenet.stats a) in
-  Alcotest.(check int) "counted as a wire drop" 1 errors;
-  Livenet.close a
-
-let test_livenet_one_way_partition_heals () =
-  (* A sustained one-way partition (only the sender's gate is configured,
-     so the reverse path stays open): control frames pile up unacked
-     while the window is shut, then heal through retransmission — and the
-     receiver's dedup must keep delivery exactly-once despite every
-     retransmit that piled up arriving at once. *)
-  let dir = temp_dir () in
-  let loop = Loop.create ~base:(Unix.gettimeofday ()) () in
-  let faults =
-    {
-      Livenet.no_faults with
-      Livenet.partitions =
-        [ { Livenet.pt_start = 0.0; pt_stop = 0.25; pt_island = [ 0 ] } ];
-    }
-  in
-  let a =
-    Livenet.create ~retransmit_every:0.02 ~faults ~loop ~dir ~me:0 ~n:2
-      ~seed:21L ()
-  in
-  let b = Livenet.create ~loop ~dir ~me:1 ~n:2 ~seed:22L () in
-  let got = ref [] in
-  (Livenet.transport b).Transport.set_handler 1 (fun m -> got := m :: !got);
-  (Livenet.transport a).Transport.set_handler 0 (fun _ -> ());
-  (Livenet.transport a).Transport.send ~lane:Transport.Control ~src:0 ~dst:1
-    "t1";
-  (Livenet.transport a).Transport.send ~lane:Transport.Control ~src:0 ~dst:1
-    "t2";
-  Loop.run loop ~until:0.15;
-  Alcotest.(check int) "unacked grows while partitioned" 2
-    (Livenet.unacked_count a);
-  Alcotest.(check (list string)) "nothing crossed the partition" [] !got;
-  Alcotest.(check bool) "sends were gated, not lost silently" true
-    (List.assoc "partition_blocked" (Livenet.stats a) > 0);
-  Loop.run loop ~until:0.6;
-  Alcotest.(check (list string)) "delivered exactly once after heal"
-    [ "t1"; "t2" ] (List.sort compare !got);
-  Alcotest.(check int) "drained to zero after heal" 0
-    (Livenet.unacked_count a);
-  Livenet.close a;
-  Livenet.close b
+let uds =
+  {
+    Lanes.label = "livenet";
+    fresh =
+      (fun () ->
+        let dir = temp_dir () in
+        {
+          Lanes.factory = Livenet.factory ~dir;
+          inject =
+            (fun ~dst bytes ->
+              let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_DGRAM 0 in
+              ignore
+                (Unix.sendto fd bytes 0 (Bytes.length bytes) []
+                   (Unix.ADDR_UNIX (Livenet.sock_path dir dst)));
+              Unix.close fd);
+        });
+  }
 
 (* --- merge --- *)
 
@@ -451,14 +376,9 @@ let suite =
     Alcotest.test_case "loop: clock is monotone" `Quick test_loop_now_monotone;
     Alcotest.test_case "store: round-trip" `Quick test_store_roundtrip;
     Alcotest.test_case "store: torn tail tolerated" `Quick test_store_torn_tail;
-    Alcotest.test_case "livenet: data and control delivery" `Quick
-      test_livenet_data_and_control;
-    Alcotest.test_case "livenet: control reaches a late peer" `Quick
-      test_livenet_control_retransmits_to_late_peer;
-    Alcotest.test_case "livenet: data to dead peer drops" `Quick
-      test_livenet_data_to_dead_peer_is_dropped;
-    Alcotest.test_case "livenet: one-way partition heals exactly-once" `Quick
-      test_livenet_one_way_partition_heals;
+  ]
+  @ Lanes.cases uds
+  @ [
     Alcotest.test_case "merge: global order and single header" `Quick
       test_merge_orders_and_deduplicates_headers;
     Alcotest.test_case "merge: identical timestamps keep a stable order" `Quick
