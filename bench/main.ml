@@ -19,7 +19,7 @@ module Ftvc = Optimist_clock.Ftvc
 module History = Optimist_history.History
 module Vclock = Optimist_clock.Vclock
 module Live = Optimist_live.Supervisor
-module Live_worker = Optimist_live.Worker
+module Plan = Optimist_live.Plan
 module Registry = Optimist_protocols.Registry
 module Live_merge = Optimist_live.Merge
 module Json = Optimist_obs.Json
@@ -917,6 +917,11 @@ let micro () =
 (* Not a micro-benchmark: one supervised wall-clock run per protocol,
    with real SIGKILLs, reporting end-to-end throughput figures the
    simulator cannot produce (it has no wall clock to speak of). *)
+(* A live run whose plan is fixed by the bench itself: an [Error] is a
+   bug here, not an input to report. *)
+let live_run ~dir plan =
+  match Live.run ~dir plan with Ok r -> r | Error msg -> failwith msg
+
 let live () =
   section "L1: live runtime — real processes, sockets, SIGKILL";
   let t =
@@ -940,20 +945,19 @@ let live () =
           (Filename.get_temp_dir_name ())
           (Printf.sprintf "optbench-%s-%d" name (Unix.getpid ()))
       in
-      let cfg =
+      let plan =
         {
-          Live.default_cfg with
-          Live.dir;
+          Plan.default with
           n = 4;
           protocol;
           duration = 2.0;
           settle = 1.5;
           rate = 8.0;
-          faults = [ (0.8, 1); (1.4, 2) ];
+          kills = [ (0.8, 1); (1.4, 2) ];
         }
       in
       let t0 = Unix.gettimeofday () in
-      let r = Live.run cfg in
+      let r = live_run ~dir plan in
       let wall = Unix.gettimeofday () -. t0 in
       Table.add_row t
         [
@@ -994,16 +998,15 @@ let live_overhead () =
   let baseline = ref None in
   List.iter
     (fun mode ->
-      let name = Live_worker.telemetry_name mode in
+      let name = Plan.telemetry_name mode in
       let dir =
         Filename.concat
           (Filename.get_temp_dir_name ())
           (Printf.sprintf "optbench-tel-%s-%d" name (Unix.getpid ()))
       in
-      let cfg =
+      let plan =
         {
-          Live.default_cfg with
-          Live.dir;
+          Plan.default with
           n = 4;
           duration = 2.0;
           settle = 1.0;
@@ -1012,7 +1015,7 @@ let live_overhead () =
         }
       in
       let t0 = Unix.gettimeofday () in
-      let _r = Live.run cfg in
+      let _r = live_run ~dir plan in
       let wall = Unix.gettimeofday () -. t0 in
       let delivered =
         Sys.readdir dir |> Array.to_list
@@ -1059,7 +1062,7 @@ let live_overhead () =
           string_of_int trace_bytes;
           vs_off;
         ])
-    [ Live_worker.Off; Live_worker.Ring; Live_worker.Full ];
+    [ Plan.Off; Plan.Ring; Plan.Full ];
   Format.printf "%s@." (Table.render t);
   Format.printf
     "expected shape: spans and snapshots are cheap next to real sockets and \
@@ -1159,53 +1162,41 @@ let cluster () =
         string_of_int (net_count dir "reconnects");
       ]
   in
-  let n = 4 and duration = 2.0 and settle = 1.5 and rate = 8.0 in
-  let kills = [ (0.8, 1) ] in
+  let plan =
+    {
+      Plan.default with
+      n = 4;
+      duration = 2.0;
+      settle = 1.5;
+      rate = 8.0;
+      kills = [ (0.8, 1) ];
+    }
+  in
   (let dir =
      Filename.concat
        (Filename.get_temp_dir_name ())
        (Printf.sprintf "optbench-uds-%d" (Unix.getpid ()))
    in
-   let cfg =
-     {
-       Live.default_cfg with
-       Live.dir;
-       n;
-       duration;
-       settle;
-       rate;
-       faults = kills;
-     }
-   in
    let t0 = Unix.gettimeofday () in
-   let r = Live.run cfg in
+   let r = live_run ~dir plan in
    let wall = Unix.gettimeofday () -. t0 in
-   record "uds" ~wall ~events:r.Live.events ~dir ~merged:r.Live.merged);
+   record "uds" ~wall ~events:r.events ~dir ~merged:r.merged);
   (let out =
      Filename.concat
        (Filename.get_temp_dir_name ())
        (Printf.sprintf "optbench-tcp-%d" (Unix.getpid ()))
    in
    let port_base = 23000 + (Unix.getpid () mod 2000) in
-   let cfg =
-     {
-       Cluster.default_cfg with
-       Cluster.cc_out = out;
-       cc_n = n;
-       cc_duration = duration;
-       cc_settle = settle;
-       cc_rate = rate;
-       cc_kills = kills;
-       cc_worker_base = port_base + 100;
-     }
-   in
    let t0 = Unix.gettimeofday () in
-   match Cluster.run_forked ~port_base ~agents:2 cfg with
+   match
+     Cluster.run_forked ~out ~worker_base:(port_base + 100) ~port_base
+       ~agents:2 plan
+   with
    | Error msg -> Format.printf "tcp-loopback run failed: %s@." msg
    | Ok r ->
        let wall = Unix.gettimeofday () -. t0 in
-       record "tcp-loopback (2 agents)" ~wall ~events:r.Cluster.cs_events
-         ~dir:out ~merged:r.Cluster.cs_merged);
+       record "tcp-loopback (2 agents)" ~wall ~events:r.events ~dir:out
+         ~merged:r.merged);
   Format.printf "%s@." (Table.render t);
   Format.printf
     "expected shape: TCP loopback adds modest per-hop latency (framing + \

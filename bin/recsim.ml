@@ -26,6 +26,7 @@ module Table = Optimist_util.Table
 module Validate = Optimist_util.Validate
 module Live = Optimist_live.Supervisor
 module Live_worker = Optimist_live.Worker
+module Plan = Optimist_live.Plan
 module Registry = Optimist_protocols.Registry
 module Report = Optimist_obs.Report
 module Soak = Optimist_soak.Soak
@@ -462,7 +463,8 @@ let live_out_arg =
     & info [ "out"; "o" ] ~docv:"DIR"
         ~doc:"Run directory (sockets, stores, traces; previous run cleared).")
 
-let live_run_cmd =
+(* One live run, as both `live run' and `cluster run' spell it. *)
+let plan_term =
   let protocol_arg =
     Arg.(
       value
@@ -474,28 +476,28 @@ let live_run_cmd =
   let rate_arg =
     Arg.(
       value
-      & opt positive_float 8.0
+      & opt positive_float Plan.default.rate
       & info [ "rate" ] ~docv:"RATE"
           ~doc:"Environment injections per process per second.")
   in
   let duration_arg =
     Arg.(
       value
-      & opt positive_float 3.0
+      & opt positive_float Plan.default.duration
       & info [ "duration" ] ~docv:"SECONDS"
           ~doc:"Injection window in wall-clock seconds.")
   in
   let settle_arg =
     Arg.(
       value
-      & opt non_negative_float 2.0
+      & opt non_negative_float Plan.default.settle
       & info [ "settle" ] ~docv:"SECONDS"
           ~doc:"Drain time after the injection window.")
   in
   let hops_arg =
     Arg.(
       value
-      & opt (int_at_least 0) 3
+      & opt (int_at_least 0) Plan.default.hops
       & info [ "hops" ] ~docv:"HOPS"
           ~doc:"Forwarding chain length per stimulus.")
   in
@@ -506,7 +508,8 @@ let live_run_cmd =
       & info [ "fault"; "faults" ] ~docv:"SECONDS:PID"
           ~doc:
             "SIGKILL worker $(b,PID) that many seconds into the run \
-             (repeatable).")
+             (repeatable); on a cluster, the agent hosting the pid \
+             delivers it.")
   in
   let failures_arg =
     Arg.(
@@ -517,88 +520,87 @@ let live_run_cmd =
             "Additionally SIGKILL $(docv) random workers at seeded times in \
              the middle 80% of the injection window.")
   in
-  let live_drop_arg =
+  let drop_arg =
     Arg.(
       value
       & opt probability 0.0
       & info [ "drop" ] ~docv:"P"
-          ~doc:"Probability of dropping each Data datagram at send time.")
+          ~doc:"Probability of dropping each Data frame at send time.")
   in
-  let live_dup_arg =
+  let dup_arg =
     Arg.(
       value
       & opt probability 0.0
       & info [ "dup" ] ~docv:"P"
-          ~doc:"Probability of duplicating each Data datagram at send time.")
+          ~doc:"Probability of duplicating each Data frame at send time.")
   in
   let restart_delay_arg =
     Arg.(
       value
-      & opt positive_float 0.3
+      & opt positive_float Plan.default.restart_delay
       & info [ "restart-delay" ] ~docv:"SECONDS"
           ~doc:"Crash-to-respawn delay.")
   in
+  let plan protocol n seed rate duration settle hops pattern faults failures
+      drop_rate dup_rate restart_delay =
+    let random_faults =
+      Schedule.random_crashes
+        ~seed:(Int64.add seed 100L)
+        ~n ~failures
+        ~window:(0.1 *. duration, 0.9 *. duration)
+      |> List.filter_map (function
+           | Schedule.Crash { at; pid } -> Some (at, pid)
+           | _ -> None)
+    in
+    {
+      Plan.default with
+      protocol;
+      n;
+      seed;
+      duration;
+      settle;
+      rate;
+      hops;
+      pattern;
+      kills = List.sort compare (faults @ random_faults);
+      net_faults = { Optimist_live.Link.no_faults with drop_rate; dup_rate };
+      restart_delay;
+    }
+  in
+  Term.(
+    const plan $ protocol_arg $ n_arg $ seed_arg $ rate_arg $ duration_arg
+    $ settle_arg $ hops_arg $ pattern_arg $ faults_arg $ failures_arg
+    $ drop_arg $ dup_arg $ restart_delay_arg)
+
+(* The lines both run commands print on success. *)
+let print_run_result (r : Live.result) =
+  Printf.printf "merged trace: %s (%d events, %d torn lines dropped)\n"
+    r.merged r.events r.dropped;
+  Printf.printf "chrome trace: %s\n" r.chrome;
+  Printf.printf "lint it with: recsim check %s --strict\n" r.merged
+
+let live_run_cmd =
   let telemetry_arg =
     Arg.(
       value
       & opt
-          (enum
-             [
-               ("off", Live_worker.Off);
-               ("ring", Live_worker.Ring);
-               ("full", Live_worker.Full);
-             ])
-          Live_worker.Full
+          (enum [ ("off", Plan.Off); ("ring", Plan.Ring); ("full", Plan.Full) ])
+          Plan.default.telemetry
       & info [ "telemetry" ] ~docv:"MODE"
           ~doc:
             "Worker telemetry: $(b,full) (JSONL trace files, the default), \
              $(b,ring) (in-memory ring only) or $(b,off).")
   in
-  let action protocol n seed rate duration settle hops pattern faults
-      failures drop dup restart_delay telemetry out =
-    let random_faults =
-      if failures = 0 then []
-      else
-        Schedule.random_crashes
-          ~seed:(Int64.add seed 100L)
-          ~n ~failures
-          ~window:(0.1 *. duration, 0.9 *. duration)
-        |> List.filter_map (function
-             | Schedule.Crash { at; pid } -> Some (at, pid)
-             | _ -> None)
-    in
-    let cfg =
-      {
-        Live.dir = out;
-        n;
-        protocol;
-        seed;
-        duration;
-        settle;
-        rate;
-        hops;
-        pattern;
-        faults = List.sort compare (faults @ random_faults);
-        net_faults =
-          { Optimist_live.Link.no_faults with drop_rate = drop; dup_rate = dup };
-        restart_delay;
-        jitter = Live.default_cfg.Live.jitter;
-        telemetry;
-        link = None;
-      }
-    in
-    match Live.run cfg with
-    | r ->
+  let action plan telemetry out =
+    match Live.run ~dir:out { plan with Plan.telemetry } with
+    | Ok r ->
         Printf.printf
           "live run complete: %d workers, %d crash(es) injected, %d clean \
            exit(s)\n"
-          n r.Live.crashes r.Live.clean_exits;
-        Printf.printf "merged trace: %s (%d events, %d torn lines dropped)\n"
-          r.Live.merged r.Live.events r.Live.dropped;
-        Printf.printf "chrome trace: %s\n" r.Live.chrome;
-        Printf.printf "lint it with: recsim check %s --strict\n" r.Live.merged;
-        Printf.printf "profile it with: recsim report %s\n" r.Live.merged
-    | exception Invalid_argument msg ->
+          plan.Plan.n r.crashes r.clean_exits;
+        print_run_result r;
+        Printf.printf "profile it with: recsim report %s\n" r.merged
+    | Error msg ->
         Printf.eprintf "recsim live run: %s\n" msg;
         exit 2
   in
@@ -607,11 +609,7 @@ let live_run_cmd =
        ~doc:
          "Run the protocol over real OS processes and Unix-domain sockets, \
           with SIGKILL crash injection.")
-    Term.(
-      const action $ protocol_arg $ n_arg $ seed_arg $ rate_arg
-      $ duration_arg $ settle_arg $ hops_arg $ pattern_arg $ faults_arg
-      $ failures_arg $ live_drop_arg $ live_dup_arg
-      $ restart_delay_arg $ telemetry_arg $ live_out_arg)
+    Term.(const action $ plan_term $ telemetry_arg $ live_out_arg)
 
 (* --- live soak --- *)
 
@@ -815,6 +813,14 @@ let report_cmd =
           into per-protocol recovery statistics.")
     Term.(const action $ files_arg $ report_format_arg $ require_recovery_arg)
 
+(* The one-line JSON document at [path]; [Error] for an unreadable,
+   empty or malformed file. *)
+let read_json path =
+  match In_channel.with_open_text path In_channel.input_line with
+  | Some line -> Json.of_string line
+  | None -> Error "empty file"
+  | exception Sys_error msg -> Error msg
+
 let live_report_cmd =
   let dir_arg =
     Arg.(
@@ -860,11 +866,8 @@ let live_report_cmd =
         run_path;
       exit 2
     end;
-    let ic = open_in run_path in
-    let line = input_line ic in
-    close_in ic;
     let summary =
-      match Json.of_string line with
+      match read_json run_path with
       | Ok j -> j
       | Error msg ->
           Printf.eprintf "recsim live report: %s: %s\n" run_path msg;
@@ -913,13 +916,16 @@ let live_report_cmd =
           if Sys.file_exists path then Some (path, gen)
           else last_stats (gen - 1)
       in
-      match last_stats (final_gen pid) with
-      | None -> Table.add_row t [ string_of_int pid; "?"; "-"; "-"; "-"; "-"; "-" ]
-      | Some (path, gen) ->
-          let ic = open_in path in
-          let j = Json.of_string (input_line ic) in
-          close_in ic;
-          let j = match j with Ok j -> j | Error _ -> Json.Null in
+      (* A missing stats file and a torn one (a straggler killed after
+         the shutdown grace) both leave this worker's outcome unknown. *)
+      match
+        Option.map
+          (fun (path, gen) -> (read_json path, gen))
+          (last_stats (final_gen pid))
+      with
+      | None | Some (Error _, _) ->
+          Table.add_row t [ string_of_int pid; "?"; "-"; "-"; "-"; "-"; "-" ]
+      | Some (Ok j, gen) ->
           let counters = Option.value ~default:Json.Null (field j "counters") in
           let c name =
             match Option.bind (Json.mem name counters) Json.to_int with
@@ -1045,81 +1051,6 @@ let cluster_agent_cmd =
     Term.(const action $ dir_arg $ port_arg $ once_arg)
 
 let cluster_run_cmd =
-  let rate_arg =
-    Arg.(
-      value
-      & opt positive_float 8.0
-      & info [ "rate" ] ~docv:"RATE"
-          ~doc:"Environment injections per process per second.")
-  in
-  let duration_arg =
-    Arg.(
-      value
-      & opt positive_float 3.0
-      & info [ "duration" ] ~docv:"SECONDS"
-          ~doc:"Injection window in wall-clock seconds.")
-  in
-  let settle_arg =
-    Arg.(
-      value
-      & opt non_negative_float 2.0
-      & info [ "settle" ] ~docv:"SECONDS"
-          ~doc:"Drain time after the injection window.")
-  in
-  let hops_arg =
-    Arg.(
-      value
-      & opt (int_at_least 0) 3
-      & info [ "hops" ] ~docv:"HOPS"
-          ~doc:"Forwarding chain length per stimulus.")
-  in
-  let protocol_arg =
-    Arg.(
-      value
-      & opt protocol_conv Registry.Dg
-      & info [ "protocol"; "p" ] ~docv:"PROTOCOL"
-          ~doc:(Printf.sprintf "Protocol to run: %s." Registry.live_names))
-  in
-  let faults_arg =
-    Arg.(
-      value
-      & opt_all fault_conv []
-      & info [ "fault"; "faults" ] ~docv:"SECONDS:PID"
-          ~doc:
-            "SIGKILL worker $(b,PID) that many seconds into the run \
-             (repeatable); the kill is delivered by whichever agent hosts \
-             the pid.")
-  in
-  let failures_arg =
-    Arg.(
-      value
-      & opt (int_at_least 0) 0
-      & info [ "failures" ] ~docv:"K"
-          ~doc:
-            "Additionally SIGKILL $(docv) random workers at seeded times in \
-             the middle 80% of the injection window.")
-  in
-  let drop_arg =
-    Arg.(
-      value
-      & opt probability 0.0
-      & info [ "drop" ] ~docv:"P"
-          ~doc:"Probability of dropping each Data frame at send time.")
-  in
-  let dup_arg =
-    Arg.(
-      value
-      & opt probability 0.0
-      & info [ "dup" ] ~docv:"P"
-          ~doc:"Probability of duplicating each Data frame at send time.")
-  in
-  let restart_delay_arg =
-    Arg.(
-      value
-      & opt positive_float 0.3
-      & info [ "restart-delay" ] ~docv:"SECONDS"
-          ~doc:"Crash-to-respawn delay.")
-  in
   let lead_arg =
     Arg.(
       value
@@ -1129,43 +1060,13 @@ let cluster_run_cmd =
             "How far in the future the shared start instant is placed, so \
              every agent's workers are connected before time starts.")
   in
-  let action protocol n seed rate duration settle hops pattern faults failures
-      drop dup restart_delay lead peers agents port_base worker_base out =
-    let random_faults =
-      if failures = 0 then []
-      else
-        Schedule.random_crashes
-          ~seed:(Int64.add seed 100L)
-          ~n ~failures
-          ~window:(0.1 *. duration, 0.9 *. duration)
-        |> List.filter_map (function
-             | Schedule.Crash { at; pid } -> Some (at, pid)
-             | _ -> None)
-    in
-    let cfg =
-      {
-        Cluster.cc_out = out;
-        cc_n = n;
-        cc_protocol = protocol;
-        cc_seed = seed;
-        cc_duration = duration;
-        cc_settle = settle;
-        cc_rate = rate;
-        cc_hops = hops;
-        cc_pattern = pattern;
-        cc_kills = List.sort compare (faults @ random_faults);
-        cc_net =
-          { Optimist_live.Link.no_faults with drop_rate = drop; dup_rate = dup };
-        cc_restart_delay = restart_delay;
-        cc_telemetry = Live_worker.Full;
-        cc_lead = lead;
-        cc_worker_base = worker_base;
-      }
-    in
+  let action plan lead peers agents port_base worker_base out =
     let result =
       match peers with
-      | [] -> Cluster.run_forked ~log:print_endline ~port_base ~agents cfg
-      | peers -> Cluster.run ~log:print_endline cfg ~peers
+      | [] ->
+          Cluster.run_forked ~log:print_endline ~lead ~out ~worker_base
+            ~port_base ~agents plan
+      | peers -> Cluster.run ~log:print_endline ~lead ~out ~worker_base ~peers plan
     in
     match result with
     | Error msg ->
@@ -1175,14 +1076,10 @@ let cluster_run_cmd =
         Printf.printf
           "cluster run complete: %d workers on %d agent(s), %d crash(es) \
            injected, %d clean exit(s)\n"
-          n
+          plan.Plan.n
           (match peers with [] -> agents | ps -> List.length ps)
-          r.Cluster.cs_crashes r.Cluster.cs_clean_exits;
-        Printf.printf "merged trace: %s (%d events, %d torn lines dropped)\n"
-          r.Cluster.cs_merged r.Cluster.cs_events r.Cluster.cs_dropped;
-        Printf.printf "chrome trace: %s\n" r.Cluster.cs_chrome;
-        Printf.printf "lint it with: recsim check %s --strict\n"
-          r.Cluster.cs_merged
+          r.crashes r.clean_exits;
+        print_run_result r
   in
   Cmd.v
     (Cmd.info "run"
@@ -1191,10 +1088,8 @@ let cluster_run_cmd =
           agent processes) over the TCP mesh, with remotely scheduled \
           SIGKILL injection.")
     Term.(
-      const action $ protocol_arg $ n_arg $ seed_arg $ rate_arg $ duration_arg
-      $ settle_arg $ hops_arg $ pattern_arg $ faults_arg $ failures_arg
-      $ drop_arg $ dup_arg $ restart_delay_arg $ lead_arg $ peers_arg
-      $ agents_arg $ port_base_arg $ worker_base_arg $ live_out_arg)
+      const action $ plan_term $ lead_arg $ peers_arg $ agents_arg
+      $ port_base_arg $ worker_base_arg $ live_out_arg)
 
 let cluster_soak_cmd =
   let scenarios_arg =
@@ -1225,7 +1120,10 @@ let cluster_soak_cmd =
       Scenario.plan ~seed ~count:scenarios
         ~protocols:[ Registry.Dg ]
     in
-    let runner = Cluster.scenario_runner ~agents ~port_base ~worker_base () in
+    let runner ~dir (plan : Plan.t) =
+      Cluster.run_forked ~out:dir ~worker_base ~port_base
+        ~agents:(min agents plan.n) plan
+    in
     let summary =
       Soak.run_campaign ~runner ~shrink_budget ~log:print_endline ~out ~plan ()
     in

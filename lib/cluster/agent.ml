@@ -1,3 +1,4 @@
+module Plan = Optimist_live.Plan
 module Supervisor = Optimist_live.Supervisor
 
 (* One cluster agent: hosts a block of workers on this machine on behalf
@@ -14,25 +15,6 @@ let log ~quiet fmt =
   Printf.ksprintf
     (fun s -> if not quiet then (print_string s; print_newline (); flush stdout))
     fmt
-
-let sup_cfg ~dir (a : Proto.agent_cfg) =
-  {
-    Supervisor.dir;
-    n = a.ag_n;
-    protocol = a.ag_protocol;
-    seed = a.ag_seed;
-    duration = a.ag_duration;
-    settle = a.ag_settle;
-    rate = a.ag_rate;
-    hops = a.ag_hops;
-    pattern = a.ag_pattern;
-    faults = a.ag_kills;
-    net_faults = a.ag_net;
-    restart_delay = a.ag_restart_delay;
-    jitter = Supervisor.default_cfg.Supervisor.jitter;
-    telemetry = a.ag_telemetry;
-    link = Some (Tcplink.factory ~endpoints:a.ag_endpoints);
-  }
 
 (* Run artifacts, as run-directory-relative paths: per-incarnation
    traces and stats plus the stable stores, everything a coordinator
@@ -64,30 +46,31 @@ let handle_conn ~dir ~quiet fd =
     match Proto.recv_request fd with
     | Proto.Hello -> Proto.send_response fd (Proto.Welcome { version = Proto.version })
     | Proto.Plan a -> (
-        let cfg = sup_cfg ~dir a in
-        match Supervisor.validate cfg with
-        | () ->
-            Supervisor.clean_dir cfg;
+        match Plan.validate a.plan with
+        | Ok () ->
+            Supervisor.clean_dir dir;
             session.plan <- Some a;
-            log ~quiet "agent: plan %s — workers [%s] of %d, protocol %s" a.ag_run
-              (String.concat ";" (List.map string_of_int a.ag_workers))
-              a.ag_n
-              (Optimist_protocols.Registry.name a.ag_protocol);
+            log ~quiet "agent: plan %s — workers [%s] of %d, protocol %s"
+              a.run_id
+              (String.concat ";" (List.map string_of_int a.workers))
+              a.plan.n
+              (Optimist_protocols.Registry.name a.plan.protocol);
             Proto.send_response fd Proto.Ok_
-        | exception Invalid_argument msg ->
-            Proto.send_response fd (Proto.Error_ msg))
+        | Error msg -> Proto.send_response fd (Proto.Error_ msg))
     | Proto.Start { base } -> (
         match session.plan with
         | None -> Proto.send_response fd (Proto.Error_ "start before plan")
         | Some a -> (
-            log ~quiet "agent: starting %s (base in %.3fs)" a.ag_run
+            log ~quiet "agent: starting %s (base in %.3fs)" a.run_id
               (base -. Unix.gettimeofday ());
             match
-              Supervisor.supervise (sup_cfg ~dir a) ~base ~workers:a.ag_workers
+              Supervisor.supervise ~dir
+                ~link:(Tcplink.factory ~endpoints:a.endpoints)
+                a.plan ~base ~workers:a.workers
             with
             | sv ->
                 log ~quiet "agent: %s done — %d crash(es), %d clean exit(s)"
-                  a.ag_run sv.Supervisor.sv_crashes sv.Supervisor.sv_clean_exits;
+                  a.run_id sv.Supervisor.sv_crashes sv.Supervisor.sv_clean_exits;
                 Proto.send_response fd
                   (Proto.Done_
                      {

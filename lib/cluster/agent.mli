@@ -8,9 +8,6 @@
     then stream the run artifacts — per-incarnation traces, stats files
     and stores — back for merging. *)
 
-val sup_cfg : dir:string -> Proto.agent_cfg -> Optimist_live.Supervisor.cfg
-(** The plan as a supervisor configuration over the TCP mesh. *)
-
 val serve : ?quiet:bool -> ?once:bool -> dir:string -> port:int -> unit -> unit
 (** Serve coordinator connections forever (or one connection when
     [once], for in-process forked agents). [dir] is the agent's local

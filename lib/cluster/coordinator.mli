@@ -9,76 +9,37 @@
     collected traces, so a cluster run's output directory is
     indistinguishable from a single-host run's. *)
 
-module Worker = Optimist_live.Worker
-module Link = Optimist_live.Link
-module Traffic = Optimist_workload.Traffic
-module Scenario = Optimist_soak.Scenario
-module Soak = Optimist_soak.Soak
-
-type cfg = {
-  cc_out : string;  (** coordinator-side output directory *)
-  cc_n : int;
-  cc_protocol : Optimist_protocols.Registry.id;
-  cc_seed : int64;
-  cc_duration : float;
-  cc_settle : float;
-  cc_rate : float;
-  cc_hops : int;
-  cc_pattern : Traffic.pattern;
-  cc_kills : (float * int) list;  (** cluster-wide SIGKILL schedule *)
-  cc_net : Link.faults;
-  cc_restart_delay : float;
-  cc_telemetry : Worker.telemetry;
-  cc_lead : float;  (** seconds between Start and the shared base *)
-  cc_worker_base : int;  (** worker pid [i] listens on [cc_worker_base + i] *)
-}
-
-val default_cfg : cfg
-
-type summary = {
-  cs_merged : string;
-  cs_chrome : string;
-  cs_events : int;
-  cs_dropped : int;
-  cs_crashes : int;
-  cs_clean_exits : int;
-  cs_gens : (int * int) list;  (** (pid, final generation) *)
-}
-
-val merged_file : string -> string
-val chrome_file : string -> string
-val run_file : string -> string
-
 val blocks : n:int -> k:int -> int list list
 (** Contiguous pid blocks: agent [j] of [k] hosts [n/k] (plus one for
     the first [n mod k] agents) consecutive pids. *)
 
 val run :
   ?log:(string -> unit) ->
-  cfg ->
+  ?lead:float ->
+  out:string ->
+  worker_base:int ->
   peers:(string * int) list ->
-  (summary, string) result
-(** Run one cluster run against already-listening agents at
-    [peers = (host, control port) list]. Blocks for the whole run. *)
+  Optimist_live.Plan.t ->
+  (Optimist_live.Supervisor.result, string) result
+(** Run [plan] against already-listening agents at [peers = (host,
+    control port) list]; worker pid [i] listens on [worker_base + i], and
+    the shared start instant lies [lead] seconds (default 0.5) after the
+    plan is delivered. Fetched artifacts, the merged traces and
+    [run.json] land in [out]. A one-line [Error], before any agent is
+    dialed, when the plan fails {!Optimist_live.Plan.validate}, there are
+    no agents or more agents than workers, or the worker ports run past
+    65535. Blocks for the whole run. *)
 
 val run_forked :
   ?log:(string -> unit) ->
-  ?port_base:int ->
+  ?lead:float ->
+  out:string ->
+  worker_base:int ->
+  port_base:int ->
   agents:int ->
-  cfg ->
-  (summary, string) result
+  Optimist_live.Plan.t ->
+  (Optimist_live.Supervisor.result, string) result
 (** Localhost multi-process mode: fork [agents] in-process agents
-    (control ports [port_base + j], scratch dirs [cc_out/agentJ]), run
-    against them, reap them. *)
-
-val scenario_runner :
-  ?agents:int ->
-  ?port_base:int ->
-  ?worker_base:int ->
-  unit ->
-  dir:string ->
-  Scenario.t ->
-  (Soak.run_result, string) result
-(** A {!Soak.run_campaign} [?runner] that executes each scenario as a
-    forked-localhost TCP cluster ([min agents sc_n] agents) and judges
-    it with the shared soak assessor. *)
+    (control ports [port_base + j], scratch dirs [out/agentJ]), {!run}
+    against them, reap them. Also refuses, before forking, control ports
+    that run past 65535. *)

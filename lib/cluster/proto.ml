@@ -1,7 +1,3 @@
-module Worker = Optimist_live.Worker
-module Link = Optimist_live.Link
-module Traffic = Optimist_workload.Traffic
-
 (* Coordinator <-> agent control protocol: length-prefixed marshalled
    messages over one blocking TCP connection per agent. Both ends are
    the same recsim binary, which is what makes Marshal across the wire
@@ -9,26 +5,15 @@ module Traffic = Optimist_workload.Traffic
    mismatched builds on different hosts — and the workers' TCP mesh
    frames too, so a change to either layout bumps it. *)
 
-let version = 3
+let version = 4
 
 type agent_cfg = {
-  ag_run : string;  (** run id, for agent-side logging *)
-  ag_n : int;  (** total workers across the cluster *)
-  ag_workers : int list;  (** the pids this agent hosts *)
-  ag_endpoints : (string * int) array;  (** worker pid -> host, data port *)
-  ag_protocol : Optimist_protocols.Registry.id;
-  ag_seed : int64;
-  ag_duration : float;
-  ag_settle : float;
-  ag_rate : float;
-  ag_hops : int;
-  ag_pattern : Traffic.pattern;
-  ag_kills : (float * int) list;
-      (** the full cluster-wide SIGKILL schedule; the agent filters it
-          down to the pids it hosts *)
-  ag_net : Link.faults;
-  ag_restart_delay : float;
-  ag_telemetry : Worker.telemetry;
+  run_id : string;  (** for agent-side logging *)
+  workers : int list;  (** the pids this agent hosts *)
+  endpoints : (string * int) array;  (** worker pid -> host, data port *)
+  plan : Optimist_live.Plan.t;
+      (** the whole run; its kill schedule is cluster-wide and the agent
+          filters it down to the pids it hosts *)
 }
 
 type request =

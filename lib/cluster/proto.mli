@@ -3,38 +3,24 @@
 
     The exchange is strictly request/response, driven by the
     coordinator: [Hello]/[Welcome] (version handshake), [Plan]/[Ok_]
-    (ship the run plan), [Start]/[Done_] (run the supervision loop to
-    completion — the one long-blocking step), [Fetch]/[File...Fetched]
-    (stream back run artifacts), [Bye]/[Ok_]. Both ends must be the
-    same build of the recsim binary (Marshal on the wire); [Welcome]
-    carries {!version} to catch mismatches, between the control messages
-    or the workers' {!Tcplink} frames. *)
-
-module Worker = Optimist_live.Worker
-module Link = Optimist_live.Link
-module Traffic = Optimist_workload.Traffic
+    (ship the run: the {!Optimist_live.Plan.t} every agent shares, plus
+    the agent's pid block and the endpoint table), [Start]/[Done_] (run
+    the supervision loop to completion — the one long-blocking step),
+    [Fetch]/[File...Fetched] (stream back run artifacts), [Bye]/[Ok_].
+    Both ends must be the same build of the recsim binary (Marshal on the
+    wire); [Welcome] carries {!version} (4 since the plan became a
+    [Plan.t]) to catch mismatches, between the control messages or the
+    workers' {!Tcplink} frames. *)
 
 val version : int
 
 type agent_cfg = {
-  ag_run : string;  (** run id, for agent-side logging *)
-  ag_n : int;  (** total workers across the cluster *)
-  ag_workers : int list;  (** the pids this agent hosts *)
-  ag_endpoints : (string * int) array;  (** worker pid -> host, data port *)
-  ag_protocol : Optimist_protocols.Registry.id;
-  ag_seed : int64;
-  ag_duration : float;
-  ag_settle : float;
-  ag_rate : float;
-  ag_hops : int;
-  ag_pattern : Traffic.pattern;
-  ag_kills : (float * int) list;
-      (** the full cluster-wide SIGKILL schedule; the agent filters it
-          down to the pids it hosts — this is how the coordinator
-          schedules kills remotely *)
-  ag_net : Link.faults;
-  ag_restart_delay : float;
-  ag_telemetry : Worker.telemetry;
+  run_id : string;  (** for agent-side logging *)
+  workers : int list;  (** the pids this agent hosts *)
+  endpoints : (string * int) array;  (** worker pid -> host, data port *)
+  plan : Optimist_live.Plan.t;
+      (** the whole run; its kill schedule is cluster-wide and the agent
+          filters it down to the pids it hosts *)
 }
 
 type request =

@@ -223,8 +223,8 @@ let create ?(jitter = (0.001, 0.02)) ?(retransmit_every = 0.1) ?(seq_base = 0)
    incarnation, so a restarted worker's control frames are not mistaken
    for retransmits of its predecessor's, and identical over every
    fabric, so a scenario replays the same draws over UDS and TCP. *)
-let incarnation factory ~loop ~me ~gen ~n ~seed ~faults ~jitter =
-  create ~jitter ~seq_base:(gen * 1_000_000) ~faults ~loop ~me ~n
+let incarnation ?jitter factory ~loop ~me ~gen ~n ~seed ~faults =
+  create ?jitter ~seq_base:(gen * 1_000_000) ~faults ~loop ~me ~n
     ~seed:(Int64.add seed (Int64.of_int (1 + me + (gen * n))))
     factory
 

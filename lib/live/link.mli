@@ -94,6 +94,7 @@ val create :
     [seq_base] is the first control sequence number minus one. *)
 
 val incarnation :
+  ?jitter:float * float ->
   factory ->
   loop:Loop.t ->
   me:int ->
@@ -101,7 +102,6 @@ val incarnation :
   n:int ->
   seed:int64 ->
   faults:faults ->
-  jitter:float * float ->
   'a t
 (** {!create} for incarnation [gen] of worker [me] in a run seeded with
     [seed]: the PRNG seed is [seed + 1 + me + gen*n] and the sequence

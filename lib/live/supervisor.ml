@@ -1,6 +1,4 @@
 module Json = Optimist_obs.Json
-module Registry = Optimist_protocols.Registry
-module Traffic = Optimist_workload.Traffic
 
 (* The supervisor is the only process of a live run with a global view:
    it forks the n workers, injects failures by sending real SIGKILLs at
@@ -13,43 +11,6 @@ module Traffic = Optimist_workload.Traffic
    argv-marshalling and keeps the run self-contained in one binary. The
    child leaves via [Unix._exit] so inherited channel buffers are not
    flushed twice. *)
-
-type cfg = {
-  dir : string;
-  n : int;
-  protocol : Worker.protocol;
-  seed : int64;
-  duration : float;
-  settle : float;
-  rate : float;
-  hops : int;
-  pattern : Traffic.pattern;
-  faults : (float * int) list;  (** (seconds into the run, pid) SIGKILLs *)
-  net_faults : Link.faults;  (** seeded drops/dups/partitions *)
-  restart_delay : float;
-  jitter : float * float;
-  telemetry : Worker.telemetry;
-  link : Link.factory option;  (** [None] = the UDS mesh under [dir] *)
-}
-
-let default_cfg =
-  {
-    dir = "live-run";
-    n = 4;
-    protocol = Worker.Dg;
-    seed = 1L;
-    duration = 3.0;
-    settle = 2.0;
-    rate = 8.0;
-    hops = 3;
-    pattern = Traffic.Uniform;
-    faults = [];
-    net_faults = Link.no_faults;
-    restart_delay = 0.3;
-    jitter = (0.001, 0.02);
-    telemetry = Worker.Full;
-    link = None;
-  }
 
 type result = {
   merged : string;  (** path of the merged JSONL trace *)
@@ -64,52 +25,15 @@ let merged_file dir = Filename.concat dir "merged.jsonl"
 let chrome_file dir = Filename.concat dir "trace.chrome.json"
 let run_file dir = Filename.concat dir "run.json"
 
-let validate cfg =
-  let fail fmt = Printf.ksprintf invalid_arg fmt in
-  Result.iter_error (fail "%s") (Registry.live cfg.protocol);
-  if cfg.n < 2 then fail "n must be at least 2 (got %d)" cfg.n;
-  (* Catch an over-long --dir here, before any worker hits the opaque
-     [Unix.bind] EINVAL/ENAMETOOLONG deep inside its fork. *)
-  if Option.is_none cfg.link then
-    Result.iter_error (fail "%s") (Livenet.check_dir ~dir:cfg.dir ~n:cfg.n);
-  if cfg.duration <= 0.0 then fail "duration must be positive";
-  if cfg.settle < 0.0 then fail "settle must be non-negative";
-  if cfg.rate <= 0.0 then fail "rate must be positive";
-  if cfg.restart_delay <= 0.0 then fail "restart delay must be positive";
-  List.iter
-    (fun (at, pid) ->
-      if pid < 0 || pid >= cfg.n then
-        fail "fault pid %d out of range [0, %d)" pid cfg.n;
-      if at <= 0.0 || at >= cfg.duration then
-        fail "fault time %g outside the injection window (0, %g)" at
-          cfg.duration)
-    cfg.faults;
-  let rate_ok r = Float.is_finite r && r >= 0.0 && r < 1.0 in
-  if not (rate_ok cfg.net_faults.drop_rate) then
-    fail "drop rate must be in [0, 1) (got %g)" cfg.net_faults.drop_rate;
-  if not (rate_ok cfg.net_faults.dup_rate) then
-    fail "dup rate must be in [0, 1) (got %g)" cfg.net_faults.dup_rate;
-  List.iter
-    (fun (p : Link.partition) ->
-      if p.pt_start < 0.0 || p.pt_stop <= p.pt_start then
-        fail "partition window [%g, %g) is empty or negative" p.pt_start
-          p.pt_stop;
-      if p.pt_island = [] then fail "partition island must not be empty";
-      List.iter
-        (fun pid ->
-          if pid < 0 || pid >= cfg.n then
-            fail "partition pid %d out of range [0, %d)" pid cfg.n)
-        p.pt_island)
-    cfg.net_faults.partitions
-
 (* Clear the previous run's artifacts (sockets, traces, stores, reports)
-   so a reused directory cannot mix two runs' traces. *)
-let clean_dir cfg =
-  if not (Sys.file_exists cfg.dir) then Unix.mkdir cfg.dir 0o755
+   so a reused directory cannot mix two runs' traces. Other directories
+   (a cluster run's agent scratch directories) are left alone. *)
+let clean_dir dir =
+  if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
   else
     Array.iter
       (fun name ->
-        let path = Filename.concat cfg.dir name in
+        let path = Filename.concat dir name in
         if Sys.is_directory path then begin
           if String.length name >= 6 && String.sub name 0 6 = "store." then begin
             Array.iter
@@ -119,35 +43,15 @@ let clean_dir cfg =
           end
         end
         else Sys.remove path)
-      (Sys.readdir cfg.dir)
+      (Sys.readdir dir)
 
-let spawn cfg ~base ~pid ~gen =
-  let wcfg =
-    {
-      Worker.dir = cfg.dir;
-      me = pid;
-      n = cfg.n;
-      protocol = cfg.protocol;
-      gen;
-      seed = cfg.seed;
-      base;
-      duration = cfg.duration;
-      settle = cfg.settle;
-      rate = cfg.rate;
-      hops = cfg.hops;
-      pattern = cfg.pattern;
-      jitter = cfg.jitter;
-      faults = cfg.net_faults;
-      telemetry = cfg.telemetry;
-      link = Option.value cfg.link ~default:(Livenet.factory ~dir:cfg.dir);
-    }
-  in
+let spawn cfg =
   match Unix.fork () with
   | 0 ->
-      (try Worker.main wcfg
+      (try Worker.main cfg
        with e ->
          prerr_endline
-           (Printf.sprintf "worker %d: %s" pid (Printexc.to_string e));
+           (Printf.sprintf "worker %d: %s" cfg.Worker.me (Printexc.to_string e));
          Unix._exit 1);
       Unix._exit 0
   | child -> child
@@ -164,13 +68,13 @@ type sv_result = {
 
 (* The supervision loop over an explicit pid subset: a single-host run
    supervises all n workers; a cluster agent supervises only its local
-   block against a coordinator-chosen [base], with the fault schedule
+   block against a coordinator-chosen [base], with the kill schedule
    filtered down to the pids it hosts. [base] may lie in the future
    (coordinated multi-host start): workers' loop clocks idle at 0 until
    it passes, and the deadline below is measured from it. *)
-let supervise cfg ~base ~workers =
+let supervise ~dir ~link (plan : Plan.t) ~base ~workers =
   let now () = Unix.gettimeofday () -. base in
-  let deadline = cfg.duration +. cfg.settle in
+  let deadline = plan.duration +. plan.settle in
   (* os pid -> worker index, for reaping *)
   let children = Hashtbl.create 16 in
   let gens = Hashtbl.create 16 in
@@ -178,7 +82,7 @@ let supervise cfg ~base ~workers =
   let clean_exits = ref 0 in
   let crashes = ref 0 in
   let start ~pid ~gen =
-    let child = spawn cfg ~base ~pid ~gen in
+    let child = spawn { Worker.plan; dir; me = pid; gen; base; link } in
     Hashtbl.replace children child pid;
     Hashtbl.replace gens pid gen;
     Hashtbl.replace alive pid true
@@ -187,7 +91,7 @@ let supervise cfg ~base ~workers =
   let kills =
     ref
       (List.sort compare
-         (List.filter (fun (_, pid) -> List.mem pid workers) cfg.faults))
+         (List.filter (fun (_, pid) -> List.mem pid workers) plan.kills))
   in
   let respawns = ref [] (* (at, pid), unsorted — scanned each tick *) in
   let reap ~blocking =
@@ -226,7 +130,7 @@ let supervise cfg ~base ~workers =
             incr crashes;
             (* The corpse is reaped by the WNOHANG pass below; the next
                incarnation starts after the restart delay. *)
-            respawns := (t +. cfg.restart_delay, pid) :: !respawns
+            respawns := (t +. plan.restart_delay, pid) :: !respawns
           end
         end
     | _ -> ());
@@ -256,42 +160,17 @@ let supervise cfg ~base ~workers =
       List.map (fun pid -> (pid, Hashtbl.find gens pid)) workers;
   }
 
-(* The [run.json] every live run writes, single-host or cluster; a
-   cluster run puts its own fields ([extra]) first. *)
-let write_summary ?(extra = []) cfg sv ~events ~dropped =
+(* Merge the per-incarnation traces under [dir] and write the Chrome
+   timeline and [run.json] — the plan, then the outcome. A cluster run
+   puts its own fields ([extra]) first. *)
+let finish ?(extra = []) ~dir plan sv =
+  let merged = merged_file dir and chrome = chrome_file dir in
+  let events, dropped = Merge.run ~dir ~out:merged in
+  ignore (Merge.chrome ~src:merged ~out:chrome);
   let summary =
     Json.Obj
-      (extra
+      (extra @ Plan.json_fields plan
       @ [
-          ("protocol", Json.String (Registry.name cfg.protocol));
-          ("telemetry", Json.String (Worker.telemetry_name cfg.telemetry));
-          ("n", Json.Int cfg.n);
-          ("seed", Json.String (Int64.to_string cfg.seed));
-          ("duration", Json.Float cfg.duration);
-          ("settle", Json.Float cfg.settle);
-          ("rate", Json.Float cfg.rate);
-          ("hops", Json.Int cfg.hops);
-          ( "faults",
-            Json.List
-              (List.map
-                 (fun (at, pid) ->
-                   Json.Obj [ ("at", Json.Float at); ("pid", Json.Int pid) ])
-                 cfg.faults) );
-          ("drop_rate", Json.Float cfg.net_faults.drop_rate);
-          ("dup_rate", Json.Float cfg.net_faults.dup_rate);
-          ( "partitions",
-            Json.List
-              (List.map
-                 (fun (p : Link.partition) ->
-                   Json.Obj
-                     [
-                       ("start", Json.Float p.pt_start);
-                       ("stop", Json.Float p.pt_stop);
-                       ( "island",
-                         Json.List (List.map (fun i -> Json.Int i) p.pt_island)
-                       );
-                     ])
-                 cfg.net_faults.partitions) );
           ("crashes", Json.Int sv.sv_crashes);
           ("clean_exits", Json.Int sv.sv_clean_exits);
           ("events", Json.Int events);
@@ -300,25 +179,31 @@ let write_summary ?(extra = []) cfg sv ~events ~dropped =
             Json.List (List.map (fun (_, g) -> Json.Int g) sv.sv_gens) );
         ])
   in
-  let oc = open_out (run_file cfg.dir) in
+  let oc = open_out (run_file dir) in
   output_string oc (Json.to_string summary);
   output_string oc "\n";
-  close_out oc
-
-let run cfg =
-  validate cfg;
-  clean_dir cfg;
-  let base = Unix.gettimeofday () in
-  let sv = supervise cfg ~base ~workers:(List.init cfg.n Fun.id) in
-  let events, dropped = Merge.run ~dir:cfg.dir ~out:(merged_file cfg.dir) in
-  ignore
-    (Merge.chrome ~src:(merged_file cfg.dir) ~out:(chrome_file cfg.dir));
-  write_summary cfg sv ~events ~dropped;
+  close_out oc;
   {
-    merged = merged_file cfg.dir;
-    chrome = chrome_file cfg.dir;
+    merged;
+    chrome;
     events;
     dropped;
     crashes = sv.sv_crashes;
     clean_exits = sv.sv_clean_exits;
   }
+
+let run ~dir (plan : Plan.t) =
+  (* Catch an over-long [dir] here, before any worker hits the opaque
+     [Unix.bind] EINVAL/ENAMETOOLONG deep inside its fork. *)
+  match
+    Result.bind (Plan.validate plan) (fun () ->
+        Livenet.check_dir ~dir ~n:plan.n)
+  with
+  | Error _ as e -> e
+  | Ok () ->
+      clean_dir dir;
+      let sv =
+        supervise ~dir ~link:(Livenet.factory ~dir) plan
+          ~base:(Unix.gettimeofday ()) ~workers:(List.init plan.n Fun.id)
+      in
+      Ok (finish ~dir plan sv)

@@ -15,26 +15,12 @@ type protocol = id
 let all_protocols = Registry.live_protocols
 let live_check_rules = Registry.live_check_rules
 
-type telemetry = Off | Ring | Full
-
-let telemetry_name = function Off -> "off" | Ring -> "ring" | Full -> "full"
-
 type cfg = {
+  plan : Plan.t;
   dir : string;
   me : int;
-  n : int;
-  protocol : protocol;
   gen : int;  (** incarnation: 0 on first spawn, +1 per restart *)
-  seed : int64;
   base : float;  (** shared [Unix.gettimeofday] origin of the run *)
-  duration : float;  (** injection window, seconds *)
-  settle : float;  (** extra drain time after the window *)
-  rate : float;
-  hops : int;
-  pattern : Traffic.pattern;
-  jitter : float * float;
-  faults : Link.faults;
-  telemetry : telemetry;
   link : Link.factory;
 }
 
@@ -56,7 +42,7 @@ let store_dir ~dir ~me = Filename.concat dir (Printf.sprintf "store.w%d" me)
    the overhead-bench middle ground); [Off] uses the null recorder, so
    the [Trace.enabled] guards short-circuit everywhere. *)
 let open_trace cfg =
-  match cfg.telemetry with
+  match cfg.plan.telemetry with
   | Off -> (Trace.null, None)
   | Ring ->
       let tracer = Trace.create () in
@@ -82,8 +68,8 @@ let write_stats cfg ~net_stats ~store_stats ~counters ~digest ~epoch =
       [
         ("pid", Json.Int cfg.me);
         ("gen", Json.Int cfg.gen);
-        ("protocol", Json.String (Registry.name cfg.protocol));
-        ("telemetry", Json.String (telemetry_name cfg.telemetry));
+        ("protocol", Json.String (Registry.name cfg.plan.protocol));
+        ("telemetry", Json.String (Plan.telemetry_name cfg.plan.telemetry));
         ("epoch", Json.Int epoch);
         ("digest", Json.Int digest);
         ("counters", Json.Obj (kv counters));
@@ -104,10 +90,10 @@ let write_stats cfg ~net_stats ~store_stats ~counters ~digest ~epoch =
    predecessor already absorbed are in the stable log and come back via
    replay, so re-injecting them would double them. *)
 let schedule_injections cfg loop inject =
+  let { Plan.seed; n; rate; duration; hops; _ } = cfg.plan in
   let injections =
-    Schedule.poisson_injections
-      ~seed:(Int64.add cfg.seed 7919L)
-      ~n:cfg.n ~rate:cfg.rate ~duration:cfg.duration ~hops:cfg.hops
+    Schedule.poisson_injections ~seed:(Int64.add seed 7919L) ~n ~rate
+      ~duration ~hops
   in
   let now = Loop.now loop in
   List.iter
@@ -123,7 +109,7 @@ let uid_gen cfg =
   let seq = ref 0 in
   fun () ->
     incr seq;
-    (((cfg.gen lsl 28) + !seq) * cfg.n) + cfg.me
+    (((cfg.gen lsl 28) + !seq) * cfg.plan.n) + cfg.me
 
 (* --- telemetry plumbing --- *)
 
@@ -139,7 +125,7 @@ let emit_snapshot cfg loop ~ver values =
         ver;
         clock = [||];
         kind =
-          Trace.Snapshot { protocol = Registry.name cfg.protocol; values };
+          Trace.Snapshot { protocol = Registry.name cfg.plan.protocol; values };
       }
 
 (* Periodic snapshots, re-armed until the loop deadline drops the
@@ -212,10 +198,11 @@ let stable_store sctx store =
     load_gen = (fun () -> Store.load_gen store);
   }
 
-let run (module P : Protocol.S) cfg loop sctx =
+let run (module P : Protocol.S) ?jitter cfg loop sctx =
+  let { Plan.n; seed; pattern; duration; settle; net_faults; _ } = cfg.plan in
   let link =
-    Link.incarnation cfg.link ~loop ~me:cfg.me ~gen:cfg.gen ~n:cfg.n
-      ~seed:cfg.seed ~faults:cfg.faults ~jitter:cfg.jitter
+    Link.incarnation ?jitter cfg.link ~loop ~me:cfg.me ~gen:cfg.gen ~n ~seed
+      ~faults:net_faults
   in
   (* Gen 0 waits for the whole mesh to come up before the protocol starts
      talking; restarted incarnations find every peer already present. *)
@@ -237,8 +224,8 @@ let run (module P : Protocol.S) cfg loop sctx =
   let p =
     P.create_rt ~rt:(Loop.runtime loop)
       ~net:(span_transport sctx (Link.transport link))
-      ~app:(Traffic.app ~n:cfg.n cfg.pattern)
-      ~id:cfg.me ~n:cfg.n ~gen:cfg.gen ~store:(stable_store sctx store)
+      ~app:(Traffic.app ~n pattern)
+      ~id:cfg.me ~n ~gen:cfg.gen ~store:(stable_store sctx store)
       ~next_uid:(uid_gen cfg) ()
   in
   let ver () = Option.value (P.incarnation p) ~default:cfg.gen in
@@ -254,7 +241,7 @@ let run (module P : Protocol.S) cfg loop sctx =
   schedule_snapshots cfg loop ~ver (fun () ->
       Metrics.Scope.snapshot (P.metrics p));
   schedule_injections cfg loop (P.inject p);
-  Loop.run loop ~until:(cfg.duration +. cfg.settle);
+  Loop.run loop ~until:(duration +. settle);
   P.finish p;
   emit_snapshot cfg loop ~ver:(ver ())
     (("gen", float_of_int cfg.gen) :: Metrics.Scope.snapshot (P.metrics p));
@@ -273,22 +260,22 @@ let run (module P : Protocol.S) cfg loop sctx =
 let main cfg =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let impl =
-    match Registry.live cfg.protocol with
+    match Registry.live cfg.plan.protocol with
     | Ok impl -> impl
     | Error msg -> invalid_arg msg
   in
   (* A FIFO-assuming protocol runs jitter-free: zero jitter keeps the
      datagram mesh order-preserving enough for the assumption to hold in
-     practice (kernel AF_UNIX queues are FIFO per socket pair). *)
-  let cfg =
-    if Registry.fifo cfg.protocol then { cfg with jitter = (0.0, 0.0) }
-    else cfg
+     practice (kernel AF_UNIX queues are FIFO per socket pair). Everyone
+     else gets the link's default jitter. *)
+  let jitter =
+    if Registry.fifo cfg.plan.protocol then Some (0.0, 0.0) else None
   in
   let tracer, trace_oc = open_trace cfg in
   let loop = Loop.create ~tracer ~base:cfg.base () in
   let sctx =
     Span.create ~tracer ~now:(fun () -> Loop.now loop) ~pid:cfg.me ()
   in
-  run impl cfg loop sctx;
+  run impl ?jitter cfg loop sctx;
   Trace.close tracer;
   Option.iter close_out_noerr trace_oc

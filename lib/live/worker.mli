@@ -9,8 +9,6 @@
     runs the protocol's [recover] — the paper's Restart over real stable
     storage. *)
 
-module Traffic = Optimist_workload.Traffic
-
 include module type of struct
   include Optimist_protocols.Registry.Ids
 end
@@ -26,29 +24,12 @@ val live_check_rules : protocol -> string list
 (** {!Optimist_protocols.Registry.live_check_rules}: the rules a merged
     live trace is linted against. *)
 
-type telemetry =
-  | Off  (** null recorder: instrumentation short-circuits *)
-  | Ring  (** events into a bounded in-memory ring, nothing on disk *)
-  | Full  (** per-incarnation JSONL trace file (the default) *)
-
-val telemetry_name : telemetry -> string
-
 type cfg = {
+  plan : Plan.t;
   dir : string;  (** run directory: sockets, stores, traces *)
   me : int;
-  n : int;
-  protocol : protocol;
   gen : int;  (** incarnation: 0 on first spawn, +1 per restart *)
-  seed : int64;
   base : float;  (** shared [Unix.gettimeofday] origin of the run *)
-  duration : float;  (** injection window, seconds *)
-  settle : float;  (** extra drain time after the window *)
-  rate : float;  (** injections per process per second *)
-  hops : int;
-  pattern : Traffic.pattern;
-  jitter : float * float;  (** Data-lane send-delay range, seconds *)
-  faults : Link.faults;  (** seeded network-fault plan *)
-  telemetry : telemetry;
   link : Link.factory;  (** the fabric: UDS under [dir], or TCP *)
 }
 
@@ -66,4 +47,5 @@ val main : cfg -> unit
 (** Run the worker to its deadline and write the stats file. Blocks;
     meant to be the body of a forked child. Exits 1 if the peer sockets
     do not appear; raises [Invalid_argument] for a protocol without a
-    live implementation. *)
+    live implementation. A FIFO-assuming protocol runs without the
+    link's Data-lane jitter. *)

@@ -1,12 +1,11 @@
-module Worker = Optimist_live.Worker
 module Registry = Optimist_protocols.Registry
+module Plan = Optimist_live.Plan
 module Supervisor = Optimist_live.Supervisor
 module Link = Optimist_live.Link
 module Check = Optimist_check.Check
 module Trace = Optimist_obs.Trace
 module Json = Optimist_obs.Json
 module Report = Optimist_obs.Report
-module Traffic = Optimist_workload.Traffic
 
 (* The soak harness: run seeded scenarios against the live runtime, lint
    every merged trace against the protocol's declared sanitizer rules,
@@ -47,44 +46,38 @@ let oracle_check ~crashes merged =
          crashes !restarts)
   else None
 
-let net_faults (s : Scenario.t) =
-  {
-    Link.drop_rate = s.sc_drop;
-    dup_rate = s.sc_dup;
-    partitions =
-      List.map
-        (fun p ->
-          {
-            Link.pt_start = p.Scenario.pr_start;
-            pt_stop = p.Scenario.pr_stop;
-            pt_island = p.Scenario.pr_island;
-          })
-        s.sc_partitions;
-  }
-
-let supervisor_cfg ~dir (s : Scenario.t) =
-  match Registry.of_string s.Scenario.sc_protocol with
-  | None ->
-      Error (Printf.sprintf "unknown protocol %S" s.Scenario.sc_protocol)
+(* The one conversion from a scenario to a live run, for every fabric. *)
+let plan_of_scenario (s : Scenario.t) =
+  match Registry.of_string s.sc_protocol with
+  | None -> Error (Printf.sprintf "unknown protocol %S" s.sc_protocol)
   | Some protocol ->
       Ok
         {
-          Supervisor.dir;
-          n = s.sc_n;
+          Plan.default with
           protocol;
+          n = s.sc_n;
           seed = Scenario.run_seed s;
           duration = s.sc_duration;
           settle = s.sc_settle;
           rate = s.sc_rate;
           hops = s.sc_hops;
-          pattern = Traffic.Uniform;
-          faults =
-            List.map (fun k -> (k.Scenario.kl_at, k.Scenario.kl_pid)) s.sc_kills;
-          net_faults = net_faults s;
+          kills =
+            List.map (fun (k : Scenario.kill) -> (k.kl_at, k.kl_pid)) s.sc_kills;
+          net_faults =
+            {
+              Link.drop_rate = s.sc_drop;
+              dup_rate = s.sc_dup;
+              partitions =
+                List.map
+                  (fun (p : Scenario.partition) ->
+                    {
+                      Link.pt_start = p.pr_start;
+                      pt_stop = p.pr_stop;
+                      pt_island = p.pr_island;
+                    })
+                  s.sc_partitions;
+            };
           restart_delay = s.sc_restart_delay;
-          jitter = Supervisor.default_cfg.Supervisor.jitter;
-          telemetry = Worker.Full;
-          link = None;
         }
 
 let count_by_rule violations =
@@ -97,43 +90,32 @@ let count_by_rule violations =
   Hashtbl.fold (fun id n acc -> (id, n) :: acc) tbl []
   |> List.sort compare
 
-(* Judge a finished run: lint the merged trace against the protocol's
-   declared rules and cross-check the crash count. Shared by the
-   single-host runner below and the cluster runner, which produces the
-   same (crashes, events, merged) triple from remote agents. *)
-let assess ~crashes ~events ~merged (s : Scenario.t) =
-  let rules =
-    match Registry.of_string s.Scenario.sc_protocol with
-    | Some p -> Registry.live_check_rules p
-    | None -> []
-  in
-  match Check.Lint.run ~only:rules merged with
-  | Error msg -> Error msg
-  | Ok lint ->
-      Ok
-        {
-          rr_crashes = crashes;
-          rr_events = events;
-          rr_violations = count_by_rule lint.Check.Lint.violations;
-          rr_oracle = oracle_check ~crashes merged;
-          rr_merged = merged;
-        }
+type runner = dir:string -> Plan.t -> (Supervisor.result, string) result
 
-let run_scenario ~dir (s : Scenario.t) =
-  match supervisor_cfg ~dir s with
-  | Error _ as e -> e
-  | Ok cfg -> (
-      match Supervisor.run cfg with
-      | exception Invalid_argument msg -> Error msg
-      | r ->
-          assess ~crashes:r.Supervisor.crashes ~events:r.Supervisor.events
-            ~merged:r.Supervisor.merged s)
+(* Run the scenario on [runner] (single-host UDS by default, or a TCP
+   cluster), then judge it: lint the merged trace against the protocol's
+   declared rules and cross-check the delivered-SIGKILL count. *)
+let run_scenario ?(runner = Supervisor.run) ~dir s =
+  let ( let* ) = Result.bind in
+  let* plan = plan_of_scenario s in
+  let* r = runner ~dir plan in
+  let* lint =
+    Check.Lint.run ~only:(Registry.live_check_rules plan.protocol) r.merged
+  in
+  Ok
+    {
+      rr_crashes = r.crashes;
+      rr_events = r.events;
+      rr_violations = count_by_rule lint.Check.Lint.violations;
+      rr_oracle = oracle_check ~crashes:r.crashes r.merged;
+      rr_merged = r.merged;
+    }
 
 (* Greedy shrink descent: re-run each strict simplification; the first
    one that still fails becomes the new current scenario. Every live run
    costs wall-clock seconds, so the descent is budgeted in runs, not
    candidates. *)
-let shrink ?(runner = run_scenario) ~dir ~budget s =
+let shrink ?runner ~dir ~budget s =
   let runs = ref 0 in
   let rec go current =
     let rec try_candidates = function
@@ -142,7 +124,7 @@ let shrink ?(runner = run_scenario) ~dir ~budget s =
           if !runs >= budget then current
           else begin
             incr runs;
-            match runner ~dir c with
+            match run_scenario ?runner ~dir c with
             | Ok r when failed r -> go c
             | Ok _ | Error _ -> try_candidates rest
           end
@@ -307,7 +289,7 @@ let write_campaign ~out summary =
           output_char oc '\n'
       | None -> ())
 
-let run_campaign ?(runner = run_scenario) ?(shrink_budget = 12)
+let run_campaign ?runner ?(shrink_budget = 12)
     ?(log = fun _ -> ()) ~out ~plan () =
   if not (Sys.file_exists out) then Unix.mkdir out 0o755;
   let outcomes =
@@ -319,7 +301,7 @@ let run_campaign ?(runner = run_scenario) ?(shrink_budget = 12)
              s.sc_index s.sc_protocol s.sc_n (List.length s.sc_kills)
              s.sc_drop s.sc_dup
              (if s.sc_partitions <> [] then " partition" else ""));
-        let result = runner ~dir s in
+        let result = run_scenario ?runner ~dir s in
         let minimal =
           match result with
           | Ok r when failed r ->
@@ -334,14 +316,14 @@ let run_campaign ?(runner = run_scenario) ?(shrink_budget = 12)
                             (fun (id, n) -> Printf.sprintf "%s x%d" id n)
                             r.rr_violations)));
               let m =
-                shrink ~runner
+                shrink ?runner
                   ~dir:(Filename.concat out "shrink")
                   ~budget:shrink_budget s
               in
               (* Re-run the minimal scenario in its own directory so the
                  kept artifacts (merged trace, run.json) match it. *)
               let mdir = Filename.concat out (Printf.sprintf "minimal.%d" s.sc_index) in
-              ignore (runner ~dir:mdir m);
+              ignore (run_scenario ?runner ~dir:mdir m);
               let path = minimal_file out s.sc_index in
               let oc = open_out path in
               output_string oc (Json.to_string (Scenario.to_json m));

@@ -20,37 +20,35 @@ type run_result = {
 val failed : run_result -> bool
 (** Any lint violation or oracle mismatch. *)
 
-val assess :
-  crashes:int ->
-  events:int ->
-  merged:string ->
-  Scenario.t ->
-  (run_result, string) result
-(** Judge a finished run: lint [merged] against the scenario protocol's
-    {!Optimist_protocols.Registry.live_check_rules} and oracle-check the crash
-    count. Shared by {!run_scenario} and alternative runners (the
-    cluster's multi-host runner) that produce the same triple. *)
+val plan_of_scenario : Scenario.t -> (Optimist_live.Plan.t, string) result
+(** The scenario as a live run: its protocol, size, traffic, kills,
+    drops, dups and partitions field for field, seeded with
+    {!Scenario.run_seed}, full telemetry. [Error] for an unknown
+    protocol. *)
 
-val net_faults : Scenario.t -> Optimist_live.Link.faults
-(** The scenario's network-fault plan (drops, dups, partitions). *)
+type runner =
+  dir:string ->
+  Optimist_live.Plan.t ->
+  (Optimist_live.Supervisor.result, string) result
+(** Executes one plan in [dir]: {!Optimist_live.Supervisor.run} on a
+    single host, or a TCP cluster run. *)
 
-val run_scenario : dir:string -> Scenario.t -> (run_result, string) result
-(** One live run of the scenario in [dir] (cleared first), linted
-    against {!Optimist_protocols.Registry.live_check_rules} for its protocol.
-    [Error] when the scenario cannot run at all (unknown protocol,
-    invalid parameters, unreadable trace) — never for violations. *)
+val run_scenario :
+  ?runner:runner -> dir:string -> Scenario.t -> (run_result, string) result
+(** One run of the scenario in [dir] (cleared first) on [runner]
+    (default {!Optimist_live.Supervisor.run}), linted against
+    {!Optimist_protocols.Registry.live_check_rules} for its protocol and
+    oracle-checked against the delivered SIGKILLs. [Error] when the
+    scenario cannot run at all (unknown protocol, invalid parameters,
+    unreadable trace) — never for violations. *)
 
 val shrink :
-  ?runner:(dir:string -> Scenario.t -> (run_result, string) result) ->
-  dir:string ->
-  budget:int ->
-  Scenario.t ->
-  Scenario.t
+  ?runner:runner -> dir:string -> budget:int -> Scenario.t -> Scenario.t
 (** Greedy descent over {!Scenario.shrink_candidates}: re-run each
-    strict simplification (at most [budget] live runs total) and keep
+    strict simplification (at most [budget] runs total) and keep
     descending while the failure reproduces. Returns the smallest
     scenario that still failed — the input itself when nothing simpler
-    does. [runner] (default {!run_scenario}) executes each candidate. *)
+    does. *)
 
 type outcome = {
   oc_scenario : Scenario.t;
@@ -84,7 +82,7 @@ val minimal_file : string -> int -> string
 (** The minimal-reproducer artifact for a scenario index. *)
 
 val run_campaign :
-  ?runner:(dir:string -> Scenario.t -> (run_result, string) result) ->
+  ?runner:runner ->
   ?shrink_budget:int ->
   ?log:(string -> unit) ->
   out:string ->
@@ -95,6 +93,5 @@ val run_campaign :
     scenarios are shrunk (default budget 12 runs each), the minimal
     scenario is re-run in [out/minimal.<i>] and written to
     [out/minimal.<i>.json], and [out/campaign.jsonl] is written last.
-    [log] receives one-line progress messages. [runner] (default
-    {!run_scenario}, the single-host live runtime) executes each
-    scenario — the cluster runner substitutes its multi-host variant. *)
+    [log] receives one-line progress messages. Every run, shrink
+    candidates included, goes through {!run_scenario} on [runner]. *)

@@ -1,13 +1,15 @@
 (* Tests of the cluster subsystem: the TCP mesh link (the shared lane
    table, plus framing, reconnection and heartbeats), the coordinator's pid
-   partitioning, the agent protocol plumbing, and one end-to-end
-   two-agent localhost cluster run with a real SIGKILL. *)
+   partitioning and its refusals before any agent is dialed, and one
+   end-to-end two-agent localhost cluster run with a real SIGKILL. *)
 
 module Loop = Optimist_live.Loop
 module Tcplink = Optimist_cluster.Tcplink
 module Link = Optimist_live.Link
 module Coordinator = Optimist_cluster.Coordinator
-module Worker = Optimist_live.Worker
+module Plan = Optimist_live.Plan
+module Supervisor = Optimist_live.Supervisor
+module Registry = Optimist_protocols.Registry
 module Transport = Optimist_core.Transport
 module Trace = Optimist_obs.Trace
 module Json = Optimist_obs.Json
@@ -178,6 +180,63 @@ let test_host_port_parses () =
       ("host:seven", None);
     ]
 
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
+(* A bad plan or a port range past 65535 (which [Unix.ADDR_INET] would
+   wrap onto low ports) is refused before any agent is forked or dialed:
+   the dialed peers below do not exist, so reaching them would fail
+   differently, after seconds of retries. *)
+let test_refused_before_dialing () =
+  let out = Filename.concat (temp_dir ()) "refused" in
+  let d = Plan.default in
+  let nowhere = [ ("127.0.0.1", 9); ("127.0.0.1", 9) ] in
+  List.iter
+    (fun (name, run, needle) ->
+      (match run () with
+      | Ok _ -> Alcotest.failf "%s: accepted" name
+      | Error msg ->
+          if not (contains msg needle) then
+            Alcotest.failf "%s: %S does not mention %S" name msg needle);
+      Alcotest.(check bool) (name ^ ": nothing created") false
+        (Sys.file_exists out))
+    [
+      ( "worker ports past 65535 (forked)",
+        (fun () ->
+          Coordinator.run_forked ~out ~worker_base:65534 ~port_base:7800
+            ~agents:2 d),
+        "65534..65537" );
+      ( "worker ports past 65535 (dialed)",
+        (fun () ->
+          Coordinator.run ~out ~worker_base:65533 ~peers:nowhere d),
+        "65533..65536" );
+      ( "control ports past 65535",
+        (fun () ->
+          Coordinator.run_forked ~out ~worker_base:7900 ~port_base:65535
+            ~agents:2 d),
+        "65535..65536" );
+      ( "invalid plan",
+        (fun () ->
+          Coordinator.run ~out ~worker_base:7900 ~peers:nowhere
+            { d with rate = 0.0 }),
+        "rate must be positive" );
+      ( "sim-only protocol",
+        (fun () ->
+          Coordinator.run_forked ~out ~worker_base:7900 ~port_base:7800
+            ~agents:2 { d with protocol = Registry.Pk }),
+        "peterson-kearns" );
+      ( "more agents than workers",
+        (fun () ->
+          Coordinator.run_forked ~out ~worker_base:7900 ~port_base:7800
+            ~agents:5 d),
+        "at most one per worker" );
+      ( "no agents",
+        (fun () -> Coordinator.run ~out ~worker_base:7900 ~peers:[] d),
+        "no agents" );
+    ]
+
 (* --- end to end: two forked agents, real SIGKILL, strict lint --- *)
 
 let lint_clean path =
@@ -191,36 +250,36 @@ let lint_clean path =
 let test_cluster_run_with_crash () =
   let out = Filename.concat (temp_dir ()) "cl" in
   let base = port_base () in
-  let cfg =
+  let plan =
     {
-      Coordinator.default_cfg with
-      Coordinator.cc_out = out;
-      cc_n = 4;
-      cc_seed = 42L;
-      cc_duration = 1.6;
-      cc_settle = 1.4;
-      cc_rate = 6.0;
-      cc_hops = 3;
-      cc_kills = [ (0.7, 1) ];
-      cc_net =
+      Plan.default with
+      n = 4;
+      seed = 42L;
+      duration = 1.6;
+      settle = 1.4;
+      rate = 6.0;
+      hops = 3;
+      kills = [ (0.7, 1) ];
+      net_faults =
         {
           Link.no_faults with
           partitions =
             [ { Link.pt_start = 0.4; pt_stop = 0.6; pt_island = [ 0; 1 ] } ];
         };
-      cc_worker_base = base + 8;
     }
   in
-  match Coordinator.run_forked ~port_base:base ~agents:2 cfg with
+  match
+    Coordinator.run_forked ~out ~worker_base:(base + 8) ~port_base:base
+      ~agents:2 plan
+  with
   | Error msg -> Alcotest.failf "cluster run failed: %s" msg
   | Ok r ->
-      Alcotest.(check int) "one crash injected" 1 r.Coordinator.cs_crashes;
+      Alcotest.(check int) "one crash injected" 1 r.Supervisor.crashes;
       Alcotest.(check int) "every final incarnation exits clean" 4
-        r.Coordinator.cs_clean_exits;
-      Alcotest.(check bool) "events recorded" true
-        (r.Coordinator.cs_events > 50);
+        r.Supervisor.clean_exits;
+      Alcotest.(check bool) "events recorded" true (r.Supervisor.events > 50);
       let restarted = ref false and tcp_snapshot = ref false in
-      Trace.iter_file r.Coordinator.cs_merged ~f:(fun ~line:_ -> function
+      Trace.iter_file r.Supervisor.merged ~f:(fun ~line:_ -> function
         | Ok { Trace.pid = 1; kind = Trace.Restart { new_ver }; _ }
           when new_ver >= 1 ->
             restarted := true
@@ -231,10 +290,10 @@ let test_cluster_run_with_crash () =
       Alcotest.(check bool) "killed worker restarted over TCP" true !restarted;
       Alcotest.(check bool) "link metrics snapshotted" true !tcp_snapshot;
       Alcotest.(check bool) "chrome timeline written" true
-        (Sys.file_exists r.Coordinator.cs_chrome);
-      lint_clean r.Coordinator.cs_merged;
+        (Sys.file_exists r.Supervisor.chrome);
+      lint_clean r.Supervisor.merged;
       (* run.json records the whole fault plan, partitions included. *)
-      let ic = open_in (Coordinator.run_file out) in
+      let ic = open_in (Supervisor.run_file out) in
       let line = input_line ic in
       close_in ic;
       let summary =
@@ -263,6 +322,8 @@ let suite =
       test_blocks_partition_pids;
     Alcotest.test_case "validate: host:port endpoints" `Quick
       test_host_port_parses;
+    Alcotest.test_case "coordinator: bad plans and ports refused before dialing"
+      `Quick test_refused_before_dialing;
     Alcotest.test_case "two-agent cluster run with SIGKILL recovery" `Slow
       test_cluster_run_with_crash;
   ]

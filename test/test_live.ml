@@ -1,6 +1,7 @@
 (* Tests of the live runtime: the wall-clock loop, the datagram
-   transport, the on-disk store, trace merging, and one end-to-end
-   supervised run with a real SIGKILL. *)
+   transport, the on-disk store, trace merging, the run plan's
+   validation, end-to-end supervised runs with a real SIGKILL, and
+   `recsim live report' over damaged run directories. *)
 
 module Loop = Optimist_live.Loop
 module Livenet = Optimist_live.Livenet
@@ -8,6 +9,9 @@ module Store = Optimist_live.Store
 module Merge = Optimist_live.Merge
 module Supervisor = Optimist_live.Supervisor
 module Worker = Optimist_live.Worker
+module Plan = Optimist_live.Plan
+module Link = Optimist_live.Link
+module Registry = Optimist_protocols.Registry
 module Trace = Optimist_obs.Trace
 module Json = Optimist_obs.Json
 module Check = Optimist_check.Check
@@ -228,22 +232,28 @@ let lint_clean path =
       Alcotest.(check int) "lint warnings" 0 (Check.Lint.warnings report);
       Alcotest.(check int) "parse errors" 0 report.Check.Lint.parse_errors
 
+(* Three workers, one SIGKILL of worker 1 at 0.7 s. *)
+let crash_plan protocol =
+  {
+    Plan.default with
+    protocol;
+    n = 3;
+    seed = 42L;
+    duration = 1.6;
+    settle = 1.2;
+    rate = 6.0;
+    hops = 3;
+    kills = [ (0.7, 1) ];
+  }
+
+let run_ok ~dir plan =
+  match Supervisor.run ~dir plan with
+  | Ok r -> r
+  | Error msg -> Alcotest.failf "live run refused: %s" msg
+
 let test_supervised_run_with_crash () =
   let dir = temp_dir () in
-  let cfg =
-    {
-      Supervisor.default_cfg with
-      Supervisor.dir;
-      n = 3;
-      seed = 42L;
-      duration = 1.6;
-      settle = 1.2;
-      rate = 6.0;
-      hops = 3;
-      faults = [ (0.7, 1) ];
-    }
-  in
-  let r = Supervisor.run cfg in
+  let r = run_ok ~dir (crash_plan Registry.Dg) in
   Alcotest.(check int) "one crash injected" 1 r.Supervisor.crashes;
   Alcotest.(check int) "every final incarnation exits clean" 3
     r.Supervisor.clean_exits;
@@ -312,22 +322,7 @@ let test_supervised_run_with_crash () =
    final incarnation exits clean, and the merged trace passes the full
    offline rule battery in strict mode (errors and warnings both zero). *)
 let baseline_survives_crash protocol () =
-  let dir = temp_dir () in
-  let cfg =
-    {
-      Supervisor.default_cfg with
-      Supervisor.dir;
-      n = 3;
-      protocol;
-      seed = 42L;
-      duration = 1.6;
-      settle = 1.2;
-      rate = 6.0;
-      hops = 3;
-      faults = [ (0.7, 1) ];
-    }
-  in
-  let r = Supervisor.run cfg in
+  let r = run_ok ~dir:(temp_dir ()) (crash_plan protocol) in
   Alcotest.(check int) "one crash injected" 1 r.Supervisor.crashes;
   Alcotest.(check int) "every final incarnation exits clean" 3
     r.Supervisor.clean_exits;
@@ -340,34 +335,153 @@ let baseline_survives_crash protocol () =
   Alcotest.(check bool) "worker 1 restarted" true !restarted;
   lint_clean r.Supervisor.merged
 
-let test_supervisor_validates () =
-  let check_invalid name cfg =
-    match Supervisor.validate cfg with
-    | () -> Alcotest.failf "%s accepted" name
-    | exception Invalid_argument _ -> ()
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
+(* Every way a plan can be nonsense, one row each; an accepted row is
+   the boundary next to a rejected one. *)
+let test_plan_validates () =
+  let d = Plan.default in
+  let faults drop_rate dup_rate =
+    { d with net_faults = { Link.no_faults with drop_rate; dup_rate } }
   in
-  check_invalid "n=1" { Supervisor.default_cfg with Supervisor.n = 1 };
-  check_invalid "bad fault pid"
-    { Supervisor.default_cfg with Supervisor.faults = [ (1.0, 9) ] };
-  check_invalid "fault after window"
-    { Supervisor.default_cfg with Supervisor.faults = [ (99.0, 0) ] };
-  check_invalid "zero rate" { Supervisor.default_cfg with Supervisor.rate = 0.0 };
-  check_invalid "dir overflows sun_path"
+  let partition pt_start pt_stop pt_island =
     {
-      Supervisor.default_cfg with
-      Supervisor.dir = Filename.concat (String.make 120 'x') "run";
-    };
-  (let contains hay needle =
-     let nh = String.length hay and nn = String.length needle in
-     let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-     go 0
-   in
-   match Livenet.check_dir ~dir:(String.make 120 'x') ~n:4 with
-   | Ok () -> Alcotest.fail "long dir accepted"
-   | Error msg ->
-       Alcotest.(check bool) "error names the limit" true
-         (contains msg "sun_path"));
-  Supervisor.validate Supervisor.default_cfg
+      d with
+      net_faults =
+        { Link.no_faults with partitions = [ { Link.pt_start; pt_stop; pt_island } ] };
+    }
+  in
+  List.iter
+    (fun (name, plan, ok) ->
+      match (Plan.validate plan, ok) with
+      | Ok (), true -> ()
+      | Ok (), false -> Alcotest.failf "%s accepted" name
+      | Error msg, true -> Alcotest.failf "%s rejected: %s" name msg
+      | Error msg, false ->
+          Alcotest.(check bool) (name ^ ": one-line error") false
+            (String.contains msg '\n'))
+    [
+      ("the default", d, true);
+      ("n=1", { d with n = 1 }, false);
+      ("sim-only protocol", { d with protocol = Registry.Pk }, false);
+      ("zero duration", { d with duration = 0.0 }, false);
+      ("negative settle", { d with settle = -0.5 }, false);
+      ("zero settle", { d with settle = 0.0 }, true);
+      ("zero rate", { d with rate = 0.0 }, false);
+      ("zero restart delay", { d with restart_delay = 0.0 }, false);
+      ("bad fault pid", { d with kills = [ (1.0, 9) ] }, false);
+      ("negative fault pid", { d with kills = [ (1.0, -1) ] }, false);
+      ("fault after window", { d with kills = [ (99.0, 0) ] }, false);
+      ("fault at time zero", { d with kills = [ (0.0, 0) ] }, false);
+      ("fault inside window", { d with kills = [ (1.0, 3) ] }, true);
+      ("drop = 1.0", faults 1.0 0.0, false);
+      ("dup = 1.0", faults 0.0 1.0, false);
+      ("negative drop", faults (-0.1) 0.0, false);
+      ("nan dup", faults 0.0 Float.nan, false);
+      ("drop and dup below 1", faults 0.99 0.99, true);
+      ("empty partition island", partition 0.5 1.0 [], false);
+      ("island pid out of range", partition 0.5 1.0 [ 0; 4 ], false);
+      ("negative island pid", partition 0.5 1.0 [ -1 ], false);
+      ("reversed partition window", partition 1.0 0.5 [ 0 ], false);
+      ("empty partition window", partition 0.5 0.5 [ 0 ], false);
+      ("negative partition start", partition (-0.1) 0.5 [ 0 ], false);
+      ("valid partition", partition 0.0 0.5 [ 0; 3 ], true);
+    ]
+
+(* The plan says nothing about where a run happens; the directory is
+   checked by Supervisor.run itself, before anything is created. *)
+let test_supervisor_validates () =
+  let long = Filename.concat (String.make 120 'x') "run" in
+  (match Supervisor.run ~dir:long Plan.default with
+  | Ok _ -> Alcotest.fail "dir overflowing sun_path accepted"
+  | Error msg ->
+      Alcotest.(check bool) "error names the limit" true (contains msg "sun_path"));
+  Alcotest.(check bool) "nothing created" false (Sys.file_exists long);
+  let dir = Filename.concat (temp_dir ()) "refused" in
+  (match Supervisor.run ~dir { Plan.default with n = 1 } with
+  | Ok _ -> Alcotest.fail "n=1 accepted"
+  | Error _ -> ());
+  Alcotest.(check bool) "invalid plan creates nothing" false
+    (Sys.file_exists dir);
+  match Livenet.check_dir ~dir:(String.make 120 'x') ~n:4 with
+  | Ok () -> Alcotest.fail "long dir accepted"
+  | Error msg ->
+      Alcotest.(check bool) "check_dir names the limit" true
+        (contains msg "sun_path")
+
+(* --- `recsim live report' over damaged run directories --- *)
+
+let recsim =
+  Filename.concat
+    (Filename.dirname Sys.executable_name)
+    (Filename.concat ".." (Filename.concat "bin" "recsim.exe"))
+
+let read_lines path =
+  In_channel.with_open_text path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> l <> "")
+
+let live_report dir =
+  let out = Filename.temp_file "report" ".out" in
+  let err = Filename.temp_file "report" ".err" in
+  let code =
+    Sys.command
+      (Printf.sprintf "%s live report %s > %s 2> %s" (Filename.quote recsim)
+         (Filename.quote dir) (Filename.quote out) (Filename.quote err))
+  in
+  let lines = (read_lines out, read_lines err) in
+  Sys.remove out;
+  Sys.remove err;
+  (code, lines)
+
+let write_file path contents =
+  Out_channel.with_open_text path (fun oc -> output_string oc contents)
+
+(* A straggler SIGKILLed after the shutdown grace can leave an empty
+   stats file; a crash of the supervisor itself, an empty run.json. *)
+let test_live_report_damaged_dir () =
+  let dir = temp_dir () in
+  write_file (Supervisor.run_file dir) "";
+  (match live_report dir with
+  | 2, (_, [ _ ]) -> ()
+  | code, (_, err) ->
+      Alcotest.failf "empty run.json: exit %d, %d stderr line(s)" code
+        (List.length err));
+  write_file (Supervisor.run_file dir)
+    {|{"protocol":"damani-garg","n":3,"generations":[0,1,0]}|};
+  write_file (Worker.stats_file ~dir ~me:0 ~gen:0) "";
+  write_file (Worker.stats_file ~dir ~me:1 ~gen:1) "{not json";
+  write_file (Worker.stats_file ~dir ~me:2 ~gen:0)
+    {|{"digest":255,"counters":{"delivered":7}}|};
+  match live_report dir with
+  | 0, (out, _) ->
+      let row pid =
+        List.find_opt
+          (fun l ->
+            match String.split_on_char ' ' (String.trim l) with
+            | p :: _ -> p = string_of_int pid
+            | [] -> false)
+          out
+      in
+      List.iter
+        (fun pid ->
+          match row pid with
+          | Some l ->
+              Alcotest.(check bool)
+                (Printf.sprintf "pid %d: unknown row" pid)
+                true (contains l "?")
+          | None -> Alcotest.failf "no row for pid %d" pid)
+        [ 0; 1 ];
+      (match row 2 with
+      | Some l ->
+          Alcotest.(check bool) "pid 2: its digest" true (contains l "000000ff")
+      | None -> Alcotest.fail "no row for pid 2")
+  | code, (_, err) ->
+      Alcotest.failf "damaged stats files: exit %d (%s)" code
+        (String.concat " / " err)
 
 let suite =
   [
@@ -397,6 +511,10 @@ let suite =
       (baseline_survives_crash Worker.Cpo);
     Alcotest.test_case "coordinated survives SIGKILL, lints strict" `Slow
       (baseline_survives_crash Worker.Koo);
+    Alcotest.test_case "plan: validate rejects nonsense, one table" `Quick
+      test_plan_validates;
     Alcotest.test_case "supervisor validates parameters" `Quick
       test_supervisor_validates;
+    Alcotest.test_case "live report: empty run.json and stats files" `Quick
+      test_live_report_damaged_dir;
   ]

@@ -7,6 +7,8 @@
 module Scenario = Optimist_soak.Scenario
 module Soak = Optimist_soak.Soak
 module Worker = Optimist_live.Worker
+module Plan = Optimist_live.Plan
+module Link = Optimist_live.Link
 module Registry = Optimist_protocols.Registry
 module Json = Optimist_obs.Json
 module Validate = Optimist_util.Validate
@@ -51,16 +53,21 @@ let test_plan_deterministic () =
         (Option.value ~default:0 (Hashtbl.find_opt counts name)))
     all_names
 
+let fixture_lines () =
+  let path =
+    Filename.concat
+      (Filename.dirname Sys.executable_name)
+      (Filename.concat "fixtures" "soak_plan_42.jsonl")
+  in
+  In_channel.with_open_text path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> l <> "")
+
 (* The seed-42 plan over every live protocol, pinned byte for byte to a
    recorded file. The recording spells Damani-Garg and the pessimistic
    baseline by their aliases; deciding dups by protocol id rather than by
    name keeps every PRNG-drawn field identical. *)
 let test_plan_pinned () =
-  let fixture =
-    Filename.concat
-      (Filename.dirname Sys.executable_name)
-      (Filename.concat "fixtures" "soak_plan_42.jsonl")
-  in
   let canonical line =
     List.fold_left
       (fun line (alias, name) ->
@@ -78,17 +85,50 @@ let test_plan_pinned () =
       line
       [ ("dg", "damani-garg"); ("pessimist", "pessimistic") ]
   in
-  let ic = open_in fixture in
-  let rec read acc =
-    match input_line ic with
-    | l -> read (canonical l :: acc)
-    | exception End_of_file ->
-        close_in ic;
-        List.rev acc
-  in
-  Alcotest.(check (list string)) "plan matches the recorded one" (read [])
+  Alcotest.(check (list string)) "plan matches the recorded one"
+    (List.map canonical (fixture_lines ()))
     (List.map scenario_string
        (Scenario.plan ~seed:42L ~count:12 ~protocols:Worker.all_protocols))
+
+(* Every recorded scenario becomes a valid live plan that carries its
+   kills, partitions, drop and dup field for field, under the scenario's
+   run seed. *)
+let test_plan_of_scenario () =
+  List.iter
+    (fun line ->
+      let s =
+        match Result.bind (Json.of_string line) Scenario.of_json with
+        | Ok s -> s
+        | Error msg -> Alcotest.failf "fixture line unparsable: %s" msg
+      in
+      let name what = Printf.sprintf "scenario %d: %s" s.sc_index what in
+      match Soak.plan_of_scenario s with
+      | Error msg -> Alcotest.failf "%s" (name msg)
+      | Ok p ->
+          Alcotest.(check (result unit string)) (name "validates") (Ok ())
+            (Plan.validate p);
+          Alcotest.(check bool) (name "protocol") true
+            (Registry.of_string s.sc_protocol = Some p.protocol);
+          Alcotest.(check int) (name "n") s.sc_n p.n;
+          Alcotest.(check int64) (name "seed") (Scenario.run_seed s) p.seed;
+          Alcotest.(check (list (pair (float 0.0) int)))
+            (name "kills")
+            (List.map (fun (k : Scenario.kill) -> (k.kl_at, k.kl_pid)) s.sc_kills)
+            p.kills;
+          Alcotest.(check (list (triple (float 0.0) (float 0.0) (list int))))
+            (name "partitions")
+            (List.map
+               (fun (pr : Scenario.partition) ->
+                 (pr.pr_start, pr.pr_stop, pr.pr_island))
+               s.sc_partitions)
+            (List.map
+               (fun (pt : Link.partition) -> (pt.pt_start, pt.pt_stop, pt.pt_island))
+               p.net_faults.partitions);
+          Alcotest.(check (float 0.0)) (name "drop") s.sc_drop
+            p.net_faults.drop_rate;
+          Alcotest.(check (float 0.0)) (name "dup") s.sc_dup
+            p.net_faults.dup_rate)
+    (fixture_lines ())
 
 let test_scenarios_stay_in_bounds () =
   List.iter
@@ -368,6 +408,8 @@ let suite =
       `Quick test_plan_deterministic;
     Alcotest.test_case "scenario: seed-42 plan matches its recording" `Quick
       test_plan_pinned;
+    Alcotest.test_case "scenario: maps onto a valid plan field for field" `Quick
+      test_plan_of_scenario;
     Alcotest.test_case "scenario: generated parameters stay in bounds" `Quick
       test_scenarios_stay_in_bounds;
     Alcotest.test_case "scenario: JSON round-trip" `Quick test_json_roundtrip;
