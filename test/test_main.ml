@@ -24,6 +24,7 @@ let () =
       ("mc", Test_mc.suite);
       ("docs", Test_docs.suite);
       ("live", Test_live.suite);
+      ("persistence", Test_persistence.suite);
       ("soak", Test_soak.suite);
       ("cluster", Test_cluster.suite);
     ]
