@@ -27,28 +27,27 @@ type store = {
   load_gen : unit -> int;
 }
 
-(* The live face. [create_rt] maps the protocol's stable hooks onto
-   [store] and, for [gen > 0], rebuilds the process from the image the
-   store holds; [recover] then runs the protocol's restart. *)
-module type S = sig
-  type ('s, 'm) t
-  type 'm wire
+(* The store of a process whose crashes are simulated: writes go nowhere,
+   and a gen 0 process never reads. *)
+let null_store =
+  {
+    append_log = (fun _ -> ());
+    truncate_log = (fun ~stable:_ -> ());
+    append_checkpoint = (fun ~position:_ _ -> ());
+    discard_checkpoints_after = (fun ~position:_ -> ());
+    write_tokens = (fun _ -> ());
+    write_gen = (fun _ -> ());
+    load_log = (fun () -> [||]);
+    load_checkpoints = (fun () -> []);
+    load_tokens = (fun () -> []);
+    load_gen = (fun () -> 0);
+  }
 
-  val create_rt :
-    rt:Transport.runtime ->
-    net:'m wire Transport.t ->
-    app:('s, 'm) Types.app ->
-    id:int ->
-    n:int ->
-    gen:int ->
-    store:store ->
-    next_uid:(unit -> int) ->
-    unit ->
-    ('s, 'm) t
+(* What the live worker asks of a running process, besides its state. *)
+module type RUNNING = sig
+  type ('s, 'm) t
 
   val recover : ('s, 'm) t -> unit
-  val inject : ('s, 'm) t -> 'm -> unit
-  val state : ('s, 'm) t -> 's
   val metrics : ('s, 'm) t -> Metrics.Scope.t
   val counters : ('s, 'm) t -> (string * int) list
 
@@ -64,14 +63,42 @@ module type S = sig
   (** Called once when the run ends (flushes what is still volatile). *)
 end
 
+(* The live face. [create_rt] builds incarnation [gen] of a process over
+   [store], writing every stable transition to it. Gen 0 starts from the
+   initial state; gen > 0 reloads what the store holds, and [recover]
+   then runs the protocol's restart.
+
+   One rule for every protocol: a gen > 0 incarnation whose store holds no
+   checkpoint (killed before the first one reached disk) starts from the
+   initial state exactly as gen 0 would, initial checkpoint included, and
+   then runs [recover]. *)
+module type S = sig
+  type 'm wire
+
+  include RUNNING
+
+  val create_rt :
+    rt:Transport.runtime ->
+    net:'m wire Transport.t ->
+    app:('s, 'm) Types.app ->
+    id:int ->
+    n:int ->
+    gen:int ->
+    store:store ->
+    next_uid:(unit -> int) ->
+    unit ->
+    ('s, 'm) t
+
+  val inject : ('s, 'm) t -> 'm -> unit
+  val state : ('s, 'm) t -> 's
+end
+
 (* The simulated face: exactly the surface every baseline module
    already exports. *)
 module type SIM = sig
   type ('s, 'm) t
   type 'm wire
   type config
-
-  val make_net : Engine.t -> Network.config -> 'm wire Network.t
 
   val create :
     engine:Engine.t ->
@@ -92,4 +119,38 @@ module type SIM = sig
 
   val check_rules : string list
   (** The sanitizer rules the protocol's traces satisfy. *)
+end
+
+(* A baseline carries both faces in one module: [create] is [create_rt]
+   on the engine with {!null_store} at gen 0. *)
+module type BASELINE = sig
+  include SIM
+  include RUNNING with type ('s, 'm) t := ('s, 'm) t
+
+  val live_config : config
+  (** Timer settings for the live runtime: seconds, not the simulator's
+      virtual units. *)
+
+  val create_rt :
+    rt:Transport.runtime ->
+    net:'m wire Transport.t ->
+    app:('s, 'm) Types.app ->
+    id:int ->
+    n:int ->
+    ?config:config ->
+    ?metrics:Metrics.Scope.t ->
+    gen:int ->
+    store:store ->
+    next_uid:(unit -> int) ->
+    unit ->
+    ('s, 'm) t
+end
+
+(* A baseline's live face: its own constructor at its live settings. *)
+module Live (B : BASELINE) : S = struct
+  include B
+
+  let create_rt ~rt ~net ~app ~id ~n ~gen ~store ~next_uid () =
+    B.create_rt ~rt ~net ~app ~id ~n ~config:B.live_config ~gen ~store
+      ~next_uid ()
 end

@@ -1,10 +1,14 @@
 (** On-disk stable storage for one live worker.
 
     The crash-surviving counterpart of the in-memory
-    {!Optimist_storage} structures, written through the protocol's
-    stable hooks: an append-only message log, append-only checkpoint
-    records, the synchronously relogged token list, and a generation
-    counter. Values are marshalled — the protocol's wire and state types
+    {!Optimist_storage} structures, and the medium behind the one
+    persistence seam, {!Optimist_core.Protocol.store}: every live
+    protocol writes and reloads its own stable state through that record,
+    which the worker builds over this module. Four slots: an append-only
+    message log, append-only checkpoint records, the synchronously
+    relogged token list, and a generation counter (the worker generation,
+    or the protocol's own epoch for the pessimistic and sender-based
+    baselines). Values are marshalled — the protocol's wire and state types
     are all closure-free — and every append is flushed immediately, so a
     SIGKILL (which loses user-space buffers, not kernel page cache)
     cannot lose anything the protocol already considers stable.

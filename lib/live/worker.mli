@@ -3,11 +3,13 @@
     A worker runs the protocol's live implementation from
     {!Optimist_protocols.Registry} on top of the live substrate: {!Loop}
     as the {!Optimist_core.Transport.runtime}, a {!Link} as the
-    transport, {!Store} behind the stable hooks, and a per-incarnation
-    JSONL trace file. Incarnation [gen = 0] starts fresh; [gen > 0] (a
-    supervisor respawn after a SIGKILL) reloads the persisted image and
-    runs the protocol's [recover] — the paper's Restart over real stable
-    storage. *)
+    transport, a {!Store} as the protocol's
+    {!Optimist_core.Protocol.store}, and a per-incarnation JSONL trace
+    file. The protocol's constructor writes its stable state to the store
+    and, at [gen > 0] (a supervisor respawn after a SIGKILL), reloads it
+    itself; the worker then runs the protocol's [recover] — the paper's
+    Restart over real stable storage. A respawn whose store holds no
+    checkpoint yet starts from the initial state, as gen 0 does. *)
 
 include module type of struct
   include Optimist_protocols.Registry.Ids

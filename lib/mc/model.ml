@@ -203,7 +203,7 @@ let build_baseline ?sink cfg ~name sim =
   let engine = Engine.create ~seed:1L () in
   let trace, monitor = monitored_trace ?sink cfg in
   Engine.set_tracer engine trace;
-  let net = P.make_net engine (mc_net_config ~n:cfg.n ~dup:0.0) in
+  let net = Network.create engine (mc_net_config ~n:cfg.n ~dup:0.0) in
   let registry = Metrics.registry () in
   let uid = ref 0 in
   let next_uid () = incr uid; !uid in

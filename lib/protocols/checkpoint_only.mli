@@ -14,100 +14,22 @@
 
     Each incarnation (restart or rollback) bumps an epoch number carried on
     every message so stale in-flight traffic from discarded states is
-    filtered out. *)
+    filtered out.
 
-module Engine = Optimist_sim.Engine
-module Network = Optimist_net.Network
-module Transport = Optimist_core.Transport
+    Stable storage ({!Optimist_core.Protocol.store}): the checkpoints, the
+    epoch, announcement floors and peer epochs in the token slot, and the
+    worker generation in the gen slot. [recover] lands on the newest
+    checkpoint consistent with the persisted floors and announces the
+    surviving timestamp so peers can domino. *)
 
 type 'm wire
-
 type ('s, 'm) t
-
-type ('s, 'm) checkpoint = { cp_state : 's; cp_vc : Optimist_clock.Vclock.t }
-
 type config = { checkpoint_interval : float; restart_delay : float }
 
 val default_config : config
 
-type aux = {
-  ax_epoch : int;
-  ax_floor : int array;
-  ax_peer_epoch : int array;
-}
-(** Durable non-checkpoint state: epoch counter, announcement floors and
-    newest peer epochs. A restarted process that forgot its floors would
-    accept dependencies on states the whole system already forfeited. *)
-
-type ('s, 'm) stable_hooks = {
-  checkpoint_recorded : position:int -> ('s, 'm) checkpoint -> unit;
-  checkpoints_discarded_after : position:int -> unit;
-  aux_recorded : aux -> unit;
-}
-
-val null_hooks : ('s, 'm) stable_hooks
-
-type ('s, 'm) image = {
-  im_checkpoints : (('s, 'm) checkpoint * int) list;  (** newest first *)
-  im_aux : aux;
-}
-(** Durable state reloaded by a restarted live process. *)
-
-val create_rt :
-  rt:Transport.runtime ->
-  net:'m wire Transport.t ->
-  app:('s, 'm) Optimist_core.Types.app ->
-  id:int ->
-  n:int ->
-  ?config:config ->
-  ?metrics:Optimist_obs.Metrics.Scope.t ->
-  ?stable:('s, 'm) stable_hooks ->
-  ?restore:('s, 'm) image ->
-  next_uid:(unit -> int) ->
-  unit ->
-  ('s, 'm) t
-(** Runtime-seam constructor. With [?restore] the process resumes a prior
-    incarnation: no initial checkpoint is taken and the epoch, floors and
-    peer epochs continue from [im_aux]. *)
-
-val create :
-  engine:Engine.t ->
-  net:'m wire Network.t ->
-  app:('s, 'm) Optimist_core.Types.app ->
-  id:int ->
-  n:int ->
-  ?config:config ->
-  ?metrics:Optimist_obs.Metrics.Scope.t ->
-  next_uid:(unit -> int) ->
-  unit ->
-  ('s, 'm) t
-
-val make_net : Engine.t -> Network.config -> 'm wire Network.t
-
-val id : ('s, 'm) t -> int
-val alive : ('s, 'm) t -> bool
-val state : ('s, 'm) t -> 's
-val inject : ('s, 'm) t -> 'm -> unit
-val fail : ('s, 'm) t -> unit
-(** Simulated crash: a restart is scheduled after [restart_delay]. *)
-
-val recover : ('s, 'm) t -> unit
-(** Live-mode recovery for a process built with [?restore]: emit the
-    failure record, land on the newest checkpoint consistent with the
-    persisted floors, and broadcast the surviving-timestamp announcement.
-    Raises [Invalid_argument] if the checkpoint store is empty. *)
-
-val metrics : ('s, 'm) t -> Optimist_obs.Metrics.Scope.t
-(** The per-process metrics scope (labelled with this protocol's
-    name); shares counter names with the core engine where the
-    concepts coincide. *)
-
-val counters : ('s, 'm) t -> (string * int) list
-(** Shared names plus [cascade_rollbacks] (rollbacks triggered by another
-    process's rollback announcement rather than directly by a failure) and
-    [lost_states] (work discarded without any possibility of replay). *)
-
-val check_rules : string list
-(** Trace-sanitizer rule ids (see [optimist.check]) that are meaningful
-    for this baseline; [Runner.check_rules] consults this under
-    [recsim run --check]. *)
+include
+  Optimist_core.Protocol.BASELINE
+    with type ('s, 'm) t := ('s, 'm) t
+     and type 'm wire := 'm wire
+     and type config := config

@@ -1,5 +1,4 @@
-module Engine = Optimist_sim.Engine
-module Network = Optimist_net.Network
+module Protocol = Optimist_core.Protocol
 module Transport = Optimist_core.Transport
 module Metrics = Optimist_obs.Metrics
 module Trace = Optimist_obs.Trace
@@ -21,19 +20,11 @@ type config = { checkpoint_interval : float; restart_delay : float }
 
 let default_config = { checkpoint_interval = 150.0; restart_delay = 20.0 }
 
+(* Live timer settings: seconds, not the simulator's virtual units. *)
+let live_config = { checkpoint_interval = 1.0; restart_delay = 0.3 }
+
+(* The epoch and round counters, in the store's token slot. *)
 type aux = { ax_epoch : int; ax_peer_epoch : int array; ax_round : int }
-
-(* The committed line is the only recovery point, so it (plus the epoch
-   and round counters) is all that ever reaches stable storage. *)
-type ('s, 'm) stable_hooks = {
-  snapshot_committed : ('s, 'm) snapshot -> unit;
-  aux_recorded : aux -> unit;
-}
-
-let null_hooks =
-  { snapshot_committed = (fun _ -> ()); aux_recorded = (fun _ -> ()) }
-
-type ('s, 'm) image = { im_committed : ('s, 'm) snapshot; im_aux : aux }
 
 type ('s, 'm) t = {
   pid : int;
@@ -42,7 +33,7 @@ type ('s, 'm) t = {
   net : 'm wire Transport.t;
   app : ('s, 'm) app;
   config : config;
-  stable_io : ('s, 'm) stable_hooks;
+  store : Protocol.store;
   next_uid : unit -> int;
   mutable state : 's;
   mutable alive : bool;
@@ -60,9 +51,6 @@ type ('s, 'm) t = {
   metrics : Metrics.Scope.t;
 }
 
-let make_net engine cfg = Network.create engine cfg
-
-let id t = t.pid
 let alive t = t.alive
 let state t = t.state
 let metrics t = t.metrics
@@ -78,12 +66,14 @@ let tr_emit t kind =
 let is_initiator t = t.pid = 0
 
 let record_aux t =
-  t.stable_io.aux_recorded
-    {
-      ax_epoch = t.epoch;
-      ax_peer_epoch = Array.copy t.peer_epoch;
-      ax_round = t.round;
-    }
+  t.store.write_tokens
+    [
+      {
+        ax_epoch = t.epoch;
+        ax_peer_epoch = Array.copy t.peer_epoch;
+        ax_round = t.round;
+      };
+    ]
 
 let really_send t dst data =
   Metrics.Scope.incr t.metrics "sent";
@@ -165,7 +155,7 @@ let commit t round =
       t.committed <- sn;
       t.states_since_commit <- 0;
       t.tentative <- None;
-      t.stable_io.snapshot_committed sn;
+      t.store.append_checkpoint ~position:sn.sn_round sn;
       record_aux t
   | _ -> ());
   if t.in_round then release t
@@ -258,21 +248,27 @@ let start_rounds t =
       (round_loop (t.round + 1))
   end
 
+(* The committed line is the only recovery point, so it (plus the epoch
+   and round counters) is all that ever reaches stable storage; the
+   store's gen slot holds the worker generation. The initial state is
+   the committed line until a round commits, so a store that holds no
+   snapshot restarts from it. *)
 let create_rt ~rt ~net ~app ~id:pid ~n ?(config = default_config) ?metrics
-    ?(stable = null_hooks) ?restore:image ~next_uid () =
+    ~gen ~(store : Protocol.store) ~next_uid () =
   let metrics =
     match metrics with
     | Some m -> m
     | None -> Metrics.Scope.create ~protocol:"coordinated" ~process:pid ()
   in
-  let committed, epoch, peer_epoch, round =
-    match image with
-    | None -> ({ sn_state = app.init pid; sn_round = 0 }, 0, Array.make n 0, 0)
-    | Some im ->
-        ( im.im_committed,
-          im.im_aux.ax_epoch,
-          Array.copy im.im_aux.ax_peer_epoch,
-          im.im_aux.ax_round )
+  let committed =
+    match if gen = 0 then [] else store.load_checkpoints () with
+    | (sn, _) :: _ -> sn
+    | [] -> { sn_state = app.init pid; sn_round = 0 }
+  in
+  let aux =
+    match if gen = 0 then [] else store.load_tokens () with
+    | a :: _ -> a
+    | [] -> { ax_epoch = 0; ax_peer_epoch = Array.make n 0; ax_round = 0 }
   in
   let t =
     {
@@ -282,12 +278,12 @@ let create_rt ~rt ~net ~app ~id:pid ~n ?(config = default_config) ?metrics
       net;
       app;
       config;
-      stable_io = stable;
+      store;
       next_uid;
       state = app.init pid;
       alive = true;
-      epoch;
-      peer_epoch;
+      epoch = aux.ax_epoch;
+      peer_epoch = aux.ax_peer_epoch;
       committed;
       tentative = None;
       in_round = false;
@@ -295,22 +291,23 @@ let create_rt ~rt ~net ~app ~id:pid ~n ?(config = default_config) ?metrics
       buffered = [];
       outbox = [];
       ready_count = 0;
-      round;
+      round = aux.ax_round;
       states_since_commit = 0;
       metrics;
     }
   in
   net.Transport.set_handler pid (fun w -> handle_wire t w);
   start_rounds t;
+  store.write_gen gen;
   t
 
 let create ~engine ~net ~app ~id ~n ?config ?metrics ~next_uid () =
   create_rt ~rt:(Transport.of_engine engine) ~net:(Transport.of_network net)
-    ~app ~id ~n ?config ?metrics ~next_uid ()
+    ~app ~id ~n ?config ?metrics ~gen:0 ~store:Protocol.null_store ~next_uid ()
 
-(* Live-mode recovery for a process built with [?restore]: emit the
-   failure record for the killed incarnation, restore the committed line
-   and broadcast the rollback token that drags every peer back to it. *)
+(* Live-mode recovery for a rebuilt incarnation: emit the failure record
+   for the killed incarnation, restore the committed line and broadcast
+   the rollback token that drags every peer back to it. *)
 let recover t =
   Metrics.Scope.incr t.metrics "failures";
   if tr_on t then tr_emit t Trace.Failure;
@@ -322,3 +319,7 @@ let recover t =
    coordinated rollback, so the structural rules plus the
    rollback-bound rule apply. *)
 let check_rules = [ "OPT001"; "OPT002"; "OPT003"; "OPT006"; "OPT007" ]
+
+let incarnation _ = None
+let recovery_profile t = (0, Metrics.Scope.get t.metrics "lost_states")
+let finish _ = ()

@@ -1,5 +1,4 @@
-module Engine = Optimist_sim.Engine
-module Network = Optimist_net.Network
+module Protocol = Optimist_core.Protocol
 module Transport = Optimist_core.Transport
 module Message_log = Optimist_storage.Message_log
 module Checkpoint_store = Optimist_storage.Checkpoint_store
@@ -33,27 +32,14 @@ let default_config =
     ack_before_fsync = false;
   }
 
-(* Mirrors of the stable state for an external store (the live runtime);
-   the epoch is persisted so a rebuilt worker resumes counting
-   incarnations where the dead one stopped. *)
-type ('s, 'm) stable_hooks = {
-  log_appended : 'm entry list -> unit;
-  checkpoint_recorded : position:int -> 's -> unit;
-  epoch_recorded : int -> unit;
-}
-
-let null_hooks =
+(* Live timer settings: seconds, not the simulator's virtual units. *)
+let live_config =
   {
-    log_appended = (fun _ -> ());
-    checkpoint_recorded = (fun ~position:_ _ -> ());
-    epoch_recorded = (fun _ -> ());
+    default_config with
+    sync_write_latency = 0.002;
+    checkpoint_interval = 1.0;
+    restart_delay = 0.3;
   }
-
-type ('s, 'm) image = {
-  im_log : 'm entry array;
-  im_checkpoints : ('s * int) list; (* newest first *)
-  im_epoch : int;
-}
 
 type ('s, 'm) t = {
   pid : int;
@@ -61,7 +47,7 @@ type ('s, 'm) t = {
   net : 'm wire Transport.t;
   app : ('s, 'm) app;
   config : config;
-  stable_io : ('s, 'm) stable_hooks;
+  store : Protocol.store;
   next_uid : unit -> int;
   mutable state : 's;
   mutable alive : bool;
@@ -73,9 +59,6 @@ type ('s, 'm) t = {
   metrics : Metrics.Scope.t;
 }
 
-let make_net engine cfg = Network.create engine cfg
-
-let id t = t.pid
 let alive t = t.alive
 let state t = t.state
 let metrics t = t.metrics
@@ -130,7 +113,7 @@ let deliver t ?(uid = -1) ~src data =
   else begin
     Message_log.append t.log entry;
     Message_log.flush t.log;
-    t.stable_io.log_appended [ entry ];
+    t.store.append_log [ entry ];
     if tr_on t then
       tr_emit t (Trace.Log_flush { stable = Message_log.stable_length t.log });
     Metrics.Scope.incr
@@ -161,12 +144,12 @@ let take_checkpoint t =
   Metrics.Scope.incr t.metrics "checkpoints";
   if tr_on t then tr_emit t (Trace.Checkpoint { position = t.processed });
   Checkpoint_store.record t.checkpoints ~position:t.processed t.state;
-  t.stable_io.checkpoint_recorded ~position:t.processed t.state
+  t.store.append_checkpoint ~position:t.processed t.state
 
 let do_restart t =
   Metrics.Scope.incr t.metrics "restarts";
   t.epoch <- t.epoch + 1;
-  t.stable_io.epoch_recorded t.epoch;
+  t.store.write_gen t.epoch;
   (match Checkpoint_store.latest t.checkpoints with
   | None -> assert false
   | Some (snapshot, position) ->
@@ -198,20 +181,22 @@ let fail t =
 
 let handle_wire t (w : 'm wire) = deliver t ~uid:w.uid ~src:w.sender w.data
 
+(* Stable: every log entry before its handler runs, the checkpoints,
+   and the epoch in the store's gen slot, so a rebuilt worker resumes
+   counting incarnations where the dead one stopped. *)
 let create_rt ~rt ~net ~app ~id:pid ~n:_ ?(config = default_config) ?metrics
-    ?(stable = null_hooks) ?restore:image ~next_uid () =
+    ~gen ~(store : Protocol.store) ~next_uid () =
   let metrics =
     match metrics with
     | Some m -> m
     | None -> Metrics.Scope.create ~protocol:"pessimistic" ~process:pid ()
   in
   let log, checkpoints, epoch =
-    match image with
-    | None -> (Message_log.create (), Checkpoint_store.create (), 0)
-    | Some im ->
-        ( Message_log.of_stable im.im_log,
-          Checkpoint_store.of_items im.im_checkpoints,
-          im.im_epoch )
+    if gen = 0 then (Message_log.create (), Checkpoint_store.create (), 0)
+    else
+      ( Message_log.of_stable (store.load_log ()),
+        Checkpoint_store.of_items (store.load_checkpoints ()),
+        store.load_gen () )
   in
   let t =
     {
@@ -220,7 +205,7 @@ let create_rt ~rt ~net ~app ~id:pid ~n:_ ?(config = default_config) ?metrics
       net;
       app;
       config;
-      stable_io = stable;
+      store;
       next_uid;
       state = app.init pid;
       alive = true;
@@ -233,7 +218,8 @@ let create_rt ~rt ~net ~app ~id:pid ~n:_ ?(config = default_config) ?metrics
     }
   in
   net.Transport.set_handler pid (fun w -> handle_wire t w);
-  (match image with None -> take_checkpoint t | Some _ -> ());
+  (* The initial restore point, unless the store already holds one. *)
+  if Checkpoint_store.count checkpoints = 0 then take_checkpoint t;
   let timer =
     { Transport.Engine.l_kind = "timer"; l_pid = pid; l_src = -1;
       l_info = "checkpoint" }
@@ -249,14 +235,12 @@ let create_rt ~rt ~net ~app ~id:pid ~n:_ ?(config = default_config) ?metrics
 
 let create ~engine ~net ~app ~id ~n ?config ?metrics ~next_uid () =
   create_rt ~rt:(Transport.of_engine engine) ~net:(Transport.of_network net)
-    ~app ~id ~n ?config ?metrics ~next_uid ()
+    ~app ~id ~n ?config ?metrics ~gen:0 ~store:Protocol.null_store ~next_uid ()
 
-(* Live-mode crash recovery for a process built with [?restore]: emit the
-   failure record for the incarnation the crash killed, then run the
-   ordinary local restart (restore + replay + checkpoint). *)
+(* Live-mode crash recovery for a rebuilt incarnation: emit the failure
+   record for the incarnation the crash killed, then run the ordinary
+   local restart (restore + replay + checkpoint). *)
 let recover t =
-  if Checkpoint_store.count t.checkpoints = 0 then
-    invalid_arg "Pessimistic.recover: empty checkpoint store";
   Metrics.Scope.incr t.metrics "failures";
   if tr_on t then tr_emit t Trace.Failure;
   t.alive <- false;
@@ -270,3 +254,9 @@ let recover t =
    the [ack_before_fsync] mutant breaks. *)
 let check_rules =
   [ "OPT001"; "OPT002"; "OPT003"; "OPT006"; "OPT007"; "OPT013" ]
+
+let incarnation _ = None
+
+(* Recovery is local: surviving state is never rolled back. *)
+let recovery_profile t = (Metrics.Scope.get t.metrics "replayed", 0)
+let finish _ = ()

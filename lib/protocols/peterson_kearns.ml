@@ -56,8 +56,6 @@ type ('s, 'm) t = {
   metrics : Metrics.Scope.t;
 }
 
-let make_net engine cfg = Network.create engine cfg
-
 let id t = t.pid
 let alive t = t.alive
 let blocked t = t.awaiting_acks > 0

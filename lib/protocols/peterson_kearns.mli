@@ -46,8 +46,6 @@ val create :
   unit ->
   ('s, 'm) t
 
-val make_net : Engine.t -> Network.config -> 'm wire Network.t
-
 val id : ('s, 'm) t -> int
 val alive : ('s, 'm) t -> bool
 val blocked : ('s, 'm) t -> bool

@@ -42,14 +42,14 @@ type entry = {
   live : (module Protocol.S) option;  (** [None]: simulation only *)
 }
 
-(* --- live implementations ---
+(* --- Damani-Garg's live implementation ---
 
-   Each maps its protocol's stable hooks and restore image onto the
-   store record, with the live runtime's timer settings (seconds, not
-   the simulator's virtual units). *)
-
-let image ~gen load = if gen > 0 then Some (load ()) else None
-let counter name m = Metrics.Scope.get m name
+   The baselines write their stable state to a {!Protocol.store} and
+   reload it themselves ({!Protocol.Live}). The paper's process keeps its
+   own stable hooks and restore image, which the live benchmark also
+   builds, so its live face maps the store onto them here, with the live
+   runtime's timer settings (seconds, not the simulator's virtual
+   units). *)
 
 module Dg_live = struct
   include Process
@@ -76,13 +76,18 @@ module Dg_live = struct
         tokens_logged = store.write_tokens;
       }
     in
+    (* {!Protocol.S}'s rule: a store with no checkpoint restarts from the
+       initial state, as gen 0 does. *)
     let restore =
-      image ~gen (fun () ->
-          {
-            im_log = store.load_log ();
-            im_checkpoints = store.load_checkpoints ();
-            im_tokens = store.load_tokens ();
-          })
+      match if gen = 0 then [] else store.load_checkpoints () with
+      | [] -> None
+      | im_checkpoints ->
+          Some
+            {
+              im_log = store.load_log ();
+              im_checkpoints;
+              im_tokens = store.load_tokens ();
+            }
     in
     let p =
       Process.create_rt ~rt ~net ~app ~id ~n ~config ~stable ?restore ~next_uid
@@ -94,207 +99,10 @@ module Dg_live = struct
   let incarnation p = Some (version p)
 
   let recovery_profile p =
-    (counter "replayed" (metrics p), counter "log_truncated" (metrics p))
+    let m = metrics p in
+    (Metrics.Scope.get m "replayed", Metrics.Scope.get m "log_truncated")
 
   let finish = flush_now
-end
-
-module Pessimistic_live = struct
-  include Pessimistic
-
-  let config =
-    {
-      default_config with
-      sync_write_latency = 0.002;
-      checkpoint_interval = 1.0;
-      restart_delay = 0.3;
-    }
-
-  let create_rt ~rt ~net ~app ~id ~n ~gen ~(store : Protocol.store) ~next_uid
-      () =
-    let stable =
-      {
-        log_appended = store.append_log;
-        checkpoint_recorded = store.append_checkpoint;
-        epoch_recorded = store.write_gen;
-      }
-    in
-    let restore =
-      image ~gen (fun () ->
-          {
-            im_log = store.load_log ();
-            im_checkpoints = store.load_checkpoints ();
-            im_epoch = store.load_gen ();
-          })
-    in
-    Pessimistic.create_rt ~rt ~net ~app ~id ~n ~config ~stable ?restore
-      ~next_uid ()
-
-  let incarnation _ = None
-
-  (* Recovery is local: surviving state is never rolled back. *)
-  let recovery_profile p = (counter "replayed" (metrics p), 0)
-  let finish _ = ()
-end
-
-module Sender_live = struct
-  include Sender_based
-
-  let config = { checkpoint_interval = 1.0; restart_delay = 0.3 }
-
-  let create_rt ~rt ~net ~app ~id ~n ~gen ~(store : Protocol.store) ~next_uid
-      () =
-    let stable =
-      {
-        checkpoint_recorded = store.append_checkpoint;
-        epoch_recorded = store.write_gen;
-      }
-    in
-    let restore =
-      image ~gen (fun () ->
-          {
-            im_checkpoints = store.load_checkpoints ();
-            im_epoch = store.load_gen ();
-          })
-    in
-    Sender_based.create_rt ~rt ~net ~app ~id ~n ~config ~stable ?restore
-      ~next_uid ()
-
-  let incarnation _ = None
-
-  (* Retransmissions arrive asynchronously after the broadcast, so
-     [replayed] counts only what was in by the time recover returned;
-     peers never roll back. *)
-  let recovery_profile p = (counter "replayed" (metrics p), 0)
-  let finish _ = ()
-end
-
-module Sy_live = struct
-  include Strom_yemini
-
-  let config =
-    { checkpoint_interval = 1.0; flush_interval = 0.25; restart_delay = 0.3 }
-
-  let create_rt ~rt ~net ~app ~id ~n ~gen ~(store : Protocol.store) ~next_uid
-      () =
-    (* The announcement table is small and rewritten whole on every
-       change (a single-blob slot, like D-G's token log). *)
-    let announcements : announcement list ref = ref (store.load_tokens ()) in
-    let stable =
-      {
-        log_flushed = store.append_log;
-        log_truncated = (fun stable -> store.truncate_log ~stable);
-        checkpoint_recorded = store.append_checkpoint;
-        checkpoints_discarded_after = store.discard_checkpoints_after;
-        announcement_recorded =
-          (fun a ->
-            announcements := a :: !announcements;
-            store.write_tokens !announcements);
-      }
-    in
-    let restore =
-      image ~gen (fun () ->
-          {
-            im_log = store.load_log ();
-            im_checkpoints = store.load_checkpoints ();
-            im_announcements = !announcements;
-          })
-    in
-    let p =
-      Strom_yemini.create_rt ~rt ~net ~app ~id ~n ~config ~stable ?restore
-        ~next_uid ()
-    in
-    store.write_gen gen;
-    p
-
-  let incarnation p = Some (incarnation p)
-
-  let recovery_profile p =
-    (counter "replayed" (metrics p), counter "log_truncated" (metrics p))
-
-  let finish _ = ()
-end
-
-module Cpo_live = struct
-  include Checkpoint_only
-
-  let config = { checkpoint_interval = 1.0; restart_delay = 0.3 }
-
-  let create_rt ~rt ~net ~app ~id ~n ~gen ~(store : Protocol.store) ~next_uid
-      () =
-    let stable =
-      {
-        checkpoint_recorded = store.append_checkpoint;
-        checkpoints_discarded_after = store.discard_checkpoints_after;
-        aux_recorded = (fun aux -> store.write_tokens [ aux ]);
-      }
-    in
-    let restore =
-      image ~gen (fun () ->
-          let aux =
-            match store.load_tokens () with
-            | a :: _ -> a
-            | [] ->
-                {
-                  ax_epoch = 0;
-                  ax_floor = Array.make n max_int;
-                  ax_peer_epoch = Array.make n 0;
-                }
-          in
-          { im_checkpoints = store.load_checkpoints (); im_aux = aux })
-    in
-    let p =
-      Checkpoint_only.create_rt ~rt ~net ~app ~id ~n ~config ~stable ?restore
-        ~next_uid ()
-    in
-    store.write_gen gen;
-    p
-
-  let incarnation _ = None
-
-  (* No log, so nothing replays; the cost is the work forfeited. *)
-  let recovery_profile p = (0, counter "lost_states" (metrics p))
-  let finish _ = ()
-end
-
-module Koo_live = struct
-  include Coordinated
-
-  let config = { checkpoint_interval = 1.0; restart_delay = 0.3 }
-
-  let create_rt ~rt ~net ~app ~id ~n ~gen ~(store : Protocol.store) ~next_uid
-      () =
-    let stable =
-      {
-        snapshot_committed =
-          (fun sn -> store.append_checkpoint ~position:sn.sn_round sn);
-        aux_recorded = (fun aux -> store.write_tokens [ aux ]);
-      }
-    in
-    let restore =
-      image ~gen (fun () ->
-          let committed =
-            match store.load_checkpoints () with
-            | (sn, _) :: _ -> sn
-            | [] -> { sn_state = app.Types.init id; sn_round = 0 }
-          in
-          let aux =
-            match store.load_tokens () with
-            | a :: _ -> a
-            | [] -> { ax_epoch = 0; ax_peer_epoch = Array.make n 0; ax_round = 0 }
-          in
-          { im_committed = committed; im_aux = aux })
-    in
-    let p =
-      Coordinated.create_rt ~rt ~net ~app ~id ~n ~config ~stable ?restore
-        ~next_uid ()
-    in
-    store.write_gen gen;
-    p
-
-  let incarnation _ = None
-  let recovery_profile p = (0, counter "lost_states" (metrics p))
-  let finish _ = ()
 end
 
 (* --- the table --- *)
@@ -315,20 +123,21 @@ let entries =
     dg Dg_nohold "damani-garg-nohold" [] ~hold:false;
     baseline Pessimist "pessimistic" [ "pessimist" ]
       (module Pessimistic)
-      ~live:(module Pessimistic_live);
+      ~live:(module Protocol.Live (Pessimistic));
     baseline Sender "sender-based" [ "sender"; "sb" ]
       (module Sender_based)
-      ~live:(module Sender_live);
+      ~live:(module Protocol.Live (Sender_based));
     baseline Sy "strom-yemini" [ "sy" ]
       (module Strom_yemini)
-      ~fifo:true ~live:(module Sy_live);
+      ~fifo:true
+      ~live:(module Protocol.Live (Strom_yemini));
     baseline Pk "peterson-kearns" [] (module Peterson_kearns) ~fifo:true;
     baseline Cpo "checkpoint-only" [ "cpo" ]
       (module Checkpoint_only)
-      ~live:(module Cpo_live);
+      ~live:(module Protocol.Live (Checkpoint_only));
     baseline Koo "coordinated" [ "koo-toueg"; "koo" ]
       (module Coordinated)
-      ~live:(module Koo_live);
+      ~live:(module Protocol.Live (Coordinated));
   ]
 
 let entry id = List.find (fun e -> e.id = id) entries

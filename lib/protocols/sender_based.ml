@@ -1,5 +1,4 @@
-module Engine = Optimist_sim.Engine
-module Network = Optimist_net.Network
+module Protocol = Optimist_core.Protocol
 module Transport = Optimist_core.Transport
 module Checkpoint_store = Optimist_storage.Checkpoint_store
 module Metrics = Optimist_obs.Metrics
@@ -33,24 +32,8 @@ type config = { checkpoint_interval : float; restart_delay : float }
 
 let default_config = { checkpoint_interval = 200.0; restart_delay = 20.0 }
 
-(* Only checkpoints and the incarnation counter are stable in J-Z — the
-   send log is volatile by design (that is the protocol's point), so the
-   hooks mirror nothing else. *)
-type ('s, 'm) stable_hooks = {
-  checkpoint_recorded : position:int -> 's checkpoint -> unit;
-  epoch_recorded : int -> unit;
-}
-
-let null_hooks =
-  {
-    checkpoint_recorded = (fun ~position:_ _ -> ());
-    epoch_recorded = (fun _ -> ());
-  }
-
-type ('s, 'm) image = {
-  im_checkpoints : ('s checkpoint * int) list; (* newest first *)
-  im_epoch : int;
-}
+(* Live timer settings: seconds, not the simulator's virtual units. *)
+let live_config = { checkpoint_interval = 1.0; restart_delay = 0.3 }
 
 type ('s, 'm) recovery = {
   mutable buffered : (int * 'm * int) list; (* rsn, data, src *)
@@ -65,7 +48,7 @@ type ('s, 'm) t = {
   net : 'm wire Transport.t;
   app : ('s, 'm) app;
   config : config;
-  stable_io : ('s, 'm) stable_hooks;
+  store : Protocol.store;
   next_uid : unit -> int;
   mutable state : 's;
   mutable alive : bool;
@@ -87,11 +70,7 @@ type ('s, 'm) t = {
   metrics : Metrics.Scope.t;
 }
 
-let make_net engine cfg = Network.create engine cfg
-
-let id t = t.pid
 let alive t = t.alive
-let recovering t = t.recovery <> None
 let state t = t.state
 let metrics t = t.metrics
 let counters t = Metrics.Scope.counters t.metrics
@@ -198,7 +177,7 @@ let take_checkpoint t =
   if tr_on t then tr_emit t (Trace.Checkpoint { position = t.rsn_next });
   let cp = { ck_state = t.state; ck_rsn = t.rsn_next } in
   Checkpoint_store.record t.checkpoints ~position:t.rsn_next cp;
-  t.stable_io.checkpoint_recorded ~position:t.rsn_next cp
+  t.store.append_checkpoint ~position:t.rsn_next cp
 
 let finish_recovery t (r : ('s, 'm) recovery) =
   (* Replay retransmitted messages in RSN order from the checkpoint; a gap
@@ -237,7 +216,7 @@ let finish_recovery t (r : ('s, 'm) recovery) =
 let do_restart t =
   Metrics.Scope.incr t.metrics "restarts";
   t.epoch <- t.epoch + 1;
-  t.stable_io.epoch_recorded t.epoch;
+  t.store.write_gen t.epoch;
   (match Checkpoint_store.latest t.checkpoints with
   | None -> assert false
   | Some (cp, _) ->
@@ -351,17 +330,20 @@ let handle_wire t (w : 'm wire) =
           if r.done_count = t.n - 1 then finish_recovery t r
       | None -> ())
 
+(* Only checkpoints and the epoch (in the store's gen slot) are stable in
+   J-Z: the send log is volatile by design, which is the protocol's
+   point. *)
 let create_rt ~rt ~net ~app ~id:pid ~n ?(config = default_config) ?metrics
-    ?(stable = null_hooks) ?restore:image ~next_uid () =
+    ~gen ~(store : Protocol.store) ~next_uid () =
   let metrics =
     match metrics with
     | Some m -> m
     | None -> Metrics.Scope.create ~protocol:"sender-based" ~process:pid ()
   in
   let checkpoints, epoch =
-    match image with
-    | None -> (Checkpoint_store.create (), 0)
-    | Some im -> (Checkpoint_store.of_items im.im_checkpoints, im.im_epoch)
+    if gen = 0 then (Checkpoint_store.create (), 0)
+    else
+      (Checkpoint_store.of_items (store.load_checkpoints ()), store.load_gen ())
   in
   let t =
     {
@@ -371,7 +353,7 @@ let create_rt ~rt ~net ~app ~id:pid ~n ?(config = default_config) ?metrics
       net;
       app;
       config;
-      stable_io = stable;
+      store;
       next_uid;
       state = app.init pid;
       alive = true;
@@ -391,7 +373,8 @@ let create_rt ~rt ~net ~app ~id:pid ~n ?(config = default_config) ?metrics
     }
   in
   net.Transport.set_handler pid (fun w -> handle_wire t w);
-  (match image with None -> take_checkpoint t | Some _ -> ());
+  (* The initial restore point, unless the store already holds one. *)
+  if Checkpoint_store.count checkpoints = 0 then take_checkpoint t;
   let rec checkpoint_loop () =
     if t.alive && t.recovery = None then take_checkpoint t;
     rt.Transport.schedule ~daemon:true ~delay:config.checkpoint_interval
@@ -403,17 +386,15 @@ let create_rt ~rt ~net ~app ~id:pid ~n ?(config = default_config) ?metrics
 
 let create ~engine ~net ~app ~id ~n ?config ?metrics ~next_uid () =
   create_rt ~rt:(Transport.of_engine engine) ~net:(Transport.of_network net)
-    ~app ~id ~n ?config ?metrics ~next_uid ()
+    ~app ~id ~n ?config ?metrics ~gen:0 ~store:Protocol.null_store ~next_uid ()
 
-(* Live-mode crash recovery for a process built with [?restore]: emit the
-   failure record for the incarnation the crash killed, then run the
-   ordinary restart — restore the last stable checkpoint and ask every
-   peer to retransmit from its volatile send log. The answers arrive
-   through the transport, so recovery completes asynchronously once all
-   [n - 1] peers (or their next incarnations) have responded. *)
+(* Live-mode crash recovery for a rebuilt incarnation: emit the failure
+   record for the incarnation the crash killed, then run the ordinary
+   restart — restore the last stable checkpoint and ask every peer to
+   retransmit from its volatile send log. The answers arrive through the
+   transport, so recovery completes asynchronously once all [n - 1]
+   peers (or their next incarnations) have responded. *)
 let recover t =
-  if Checkpoint_store.count t.checkpoints = 0 then
-    invalid_arg "Sender_based.recover: empty checkpoint store";
   Metrics.Scope.incr t.metrics "failures";
   if tr_on t then tr_emit t Trace.Failure;
   t.alive <- false;
@@ -426,3 +407,11 @@ let recover t =
    so the same uid can genuinely reach the application twice — this
    baseline dedups retransmissions by RSN only. *)
 let check_rules = [ "OPT001"; "OPT002"; "OPT006"; "OPT007" ]
+
+let incarnation _ = None
+
+(* Retransmissions arrive asynchronously after the broadcast, so
+   [replayed] counts only what was in by the time recover returned;
+   peers never roll back. *)
+let recovery_profile t = (Metrics.Scope.get t.metrics "replayed", 0)
+let finish _ = ()

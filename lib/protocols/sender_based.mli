@@ -17,96 +17,21 @@
 
     Table 1 expectations reproduced: ordering [None], asynchronous recovery
     [No], rollbacks per failure [1] (only the failed process), timestamps
-    [O(1)]. *)
+    [O(1)].
 
-module Engine = Optimist_sim.Engine
-module Network = Optimist_net.Network
-module Transport = Optimist_core.Transport
+    Stable storage ({!Optimist_core.Protocol.store}): the checkpoints and
+    the epoch in the gen slot; the send log stays volatile, which is the
+    protocol's defining trade-off. [recover] restores the latest
+    checkpoint and broadcasts the retransmission request. *)
 
 type 'm wire
-
 type ('s, 'm) t
-
-type 's checkpoint = { ck_state : 's; ck_rsn : int }
-(** Snapshot plus the receive-sequence number it covers. *)
-
-type config = {
-  checkpoint_interval : float;
-  restart_delay : float;
-}
+type config = { checkpoint_interval : float; restart_delay : float }
 
 val default_config : config
 
-type ('s, 'm) stable_hooks = {
-  checkpoint_recorded : position:int -> 's checkpoint -> unit;
-  epoch_recorded : int -> unit;
-}
-(** Callbacks fired when durable state changes. The send log is
-    deliberately {e not} mirrored: keeping it volatile is the protocol's
-    defining trade-off. *)
-
-val null_hooks : ('s, 'm) stable_hooks
-
-type ('s, 'm) image = {
-  im_checkpoints : ('s checkpoint * int) list;  (** newest first *)
-  im_epoch : int;
-}
-(** Durable state reloaded by a restarted live process. *)
-
-val create_rt :
-  rt:Transport.runtime ->
-  net:'m wire Transport.t ->
-  app:('s, 'm) Optimist_core.Types.app ->
-  id:int ->
-  n:int ->
-  ?config:config ->
-  ?metrics:Optimist_obs.Metrics.Scope.t ->
-  ?stable:('s, 'm) stable_hooks ->
-  ?restore:('s, 'm) image ->
-  next_uid:(unit -> int) ->
-  unit ->
-  ('s, 'm) t
-(** Runtime-seam constructor. With [?restore] the process resumes a prior
-    incarnation: no initial checkpoint is taken and the epoch continues
-    from [im_epoch]. *)
-
-val create :
-  engine:Engine.t ->
-  net:'m wire Network.t ->
-  app:('s, 'm) Optimist_core.Types.app ->
-  id:int ->
-  n:int ->
-  ?config:config ->
-  ?metrics:Optimist_obs.Metrics.Scope.t ->
-  next_uid:(unit -> int) ->
-  unit ->
-  ('s, 'm) t
-
-val make_net : Engine.t -> Network.config -> 'm wire Network.t
-
-val id : ('s, 'm) t -> int
-val alive : ('s, 'm) t -> bool
-val recovering : ('s, 'm) t -> bool
-val state : ('s, 'm) t -> 's
-val inject : ('s, 'm) t -> 'm -> unit
-val fail : ('s, 'm) t -> unit
-(** Simulated crash: volatile state is wiped and a restart is scheduled
-    after [restart_delay]. *)
-
-val recover : ('s, 'm) t -> unit
-(** Live-mode recovery for a process built with [?restore]: emit the
-    failure record, restore the latest stable checkpoint, and broadcast
-    the retransmission request. Raises [Invalid_argument] if the
-    checkpoint store is empty. *)
-
-val metrics : ('s, 'm) t -> Optimist_obs.Metrics.Scope.t
-(** The per-process metrics scope (labelled with this protocol's
-    name); shares counter names with the core engine where the
-    concepts coincide. *)
-
-val counters : ('s, 'm) t -> (string * int) list
-
-val check_rules : string list
-(** Trace-sanitizer rule ids (see [optimist.check]) that are meaningful
-    for this baseline; [Runner.check_rules] consults this under
-    [recsim run --check]. *)
+include
+  Optimist_core.Protocol.BASELINE
+    with type ('s, 'm) t := ('s, 'm) t
+     and type 'm wire := 'm wire
+     and type config := config

@@ -153,7 +153,7 @@ let run_baseline params ~name sim =
   let module P = (val sim : Protocol.SIM) in
   let engine = Engine.create ~seed:params.seed () in
   Engine.set_tracer engine params.trace;
-  let net = P.make_net engine (net_config params) in
+  let net = Network.create engine (net_config params) in
   let registry = Metrics.registry () in
   let uid = ref 0 in
   let next_uid () = incr uid; !uid in

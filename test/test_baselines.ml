@@ -94,7 +94,7 @@ let test_strom_yemini_blind_jump () =
   let n = 3 in
   let engine = Engine.create ~seed:4L () in
   let net =
-    SY.make_net engine
+    Network.create engine
       {
         (Network.default_config ~n) with
         Network.latency = Network.Constant 2.0;
