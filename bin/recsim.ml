@@ -579,6 +579,15 @@ let print_run_result (r : Live.result) =
   Printf.printf "chrome trace: %s\n" r.chrome;
   Printf.printf "lint it with: recsim check %s --strict\n" r.merged
 
+(* A final incarnation that died (an exception, a failed rebuild) fails
+   the run even when the merged trace lints clean. *)
+let require_clean_exits ~cmd plan (r : Live.result) =
+  if r.clean_exits < plan.Plan.n then begin
+    Printf.eprintf "recsim %s: only %d of %d final incarnations exited clean\n"
+      cmd r.clean_exits plan.Plan.n;
+    exit 1
+  end
+
 let live_run_cmd =
   let telemetry_arg =
     Arg.(
@@ -599,7 +608,8 @@ let live_run_cmd =
            exit(s)\n"
           plan.Plan.n r.crashes r.clean_exits;
         print_run_result r;
-        Printf.printf "profile it with: recsim report %s\n" r.merged
+        Printf.printf "profile it with: recsim report %s\n" r.merged;
+        require_clean_exits ~cmd:"live run" plan r
     | Error msg ->
         Printf.eprintf "recsim live run: %s\n" msg;
         exit 2
@@ -1079,7 +1089,8 @@ let cluster_run_cmd =
           plan.Plan.n
           (match peers with [] -> agents | ps -> List.length ps)
           r.crashes r.clean_exits;
-        print_run_result r
+        print_run_result r;
+        require_clean_exits ~cmd:"cluster run" plan r
   in
   Cmd.v
     (Cmd.info "run"

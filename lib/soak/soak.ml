@@ -23,27 +23,33 @@ type run_result = {
 
 let failed r = r.rr_violations <> [] || r.rr_oracle <> None
 
-(* Supervisor ground truth: the supervisor counted every SIGKILL it
-   actually delivered; each one respawns an incarnation whose recovery
-   emits exactly one Failure and one Restart record. A merged trace with
-   fewer of either lost a recovery. *)
-let oracle_check ~crashes merged =
+(* Supervisor ground truth: every final incarnation must exit clean (a
+   worker that raised leaves a trace that may still lint clean), and the
+   supervisor counted every SIGKILL it actually delivered; each one
+   respawns an incarnation whose recovery emits exactly one Failure and
+   one Restart record. A merged trace with fewer of either lost a
+   recovery. *)
+let oracle_check ~n (r : Supervisor.result) =
   let failures = ref 0 and restarts = ref 0 in
-  Trace.iter_file merged ~f:(fun ~line:_ -> function
+  Trace.iter_file r.merged ~f:(fun ~line:_ -> function
     | Ok e -> (
         match e.Trace.kind with
         | Trace.Failure -> incr failures
         | Trace.Restart _ -> incr restarts
         | _ -> ())
     | Error _ -> ());
-  if !failures < crashes then
+  if r.clean_exits < n then
+    Some
+      (Printf.sprintf "only %d of %d final incarnations exited clean"
+         r.clean_exits n)
+  else if !failures < r.crashes then
     Some
       (Printf.sprintf "%d crash(es) delivered but only %d failure record(s)"
-         crashes !failures)
-  else if !restarts < crashes then
+         r.crashes !failures)
+  else if !restarts < r.crashes then
     Some
       (Printf.sprintf "%d crash(es) delivered but only %d restart record(s)"
-         crashes !restarts)
+         r.crashes !restarts)
   else None
 
 (* The one conversion from a scenario to a live run, for every fabric. *)
@@ -107,7 +113,7 @@ let run_scenario ?(runner = Supervisor.run) ~dir s =
       rr_crashes = r.crashes;
       rr_events = r.events;
       rr_violations = count_by_rule lint.Check.Lint.violations;
-      rr_oracle = oracle_check ~crashes:r.crashes r.merged;
+      rr_oracle = oracle_check ~n:plan.n r;
       rr_merged = r.merged;
     }
 

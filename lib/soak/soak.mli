@@ -3,9 +3,10 @@
     From a single campaign seed, generate randomized fault scenarios
     ({!Scenario}), run each against the live runtime ({!Optimist_live}),
     lint the merged trace against the protocol's declared sanitizer
-    rules, cross-check the supervisor's ground truth (every delivered
-    SIGKILL must produce a Failure and a Restart record), and shrink any
-    failing scenario to a minimal reproducer. The campaign writes a
+    rules, cross-check the supervisor's ground truth (every final
+    incarnation must exit clean, and every delivered SIGKILL must produce
+    a Failure and a Restart record), and shrink any failing scenario to a
+    minimal reproducer. The campaign writes a
     JSONL summary ([campaign.jsonl]) with one record per scenario, an
     aggregate record, and a recovery-latency profile. *)
 
@@ -38,7 +39,8 @@ val run_scenario :
 (** One run of the scenario in [dir] (cleared first) on [runner]
     (default {!Optimist_live.Supervisor.run}), linted against
     {!Optimist_protocols.Registry.live_check_rules} for its protocol and
-    oracle-checked against the delivered SIGKILLs. [Error] when the
+    oracle-checked against its clean exits and delivered SIGKILLs (an
+    unclean exit is an oracle mismatch). [Error] when the
     scenario cannot run at all (unknown protocol, invalid parameters,
     unreadable trace) — never for violations. *)
 

@@ -8,6 +8,7 @@ module Scenario = Optimist_soak.Scenario
 module Soak = Optimist_soak.Soak
 module Worker = Optimist_live.Worker
 module Plan = Optimist_live.Plan
+module Supervisor = Optimist_live.Supervisor
 module Link = Optimist_live.Link
 module Registry = Optimist_protocols.Registry
 module Json = Optimist_obs.Json
@@ -288,6 +289,45 @@ let test_summarize_aggregates () =
   Alcotest.(check (list string)) "statuses" [ "ok"; "violation"; "error" ]
     statuses
 
+(* --- a dead worker fails its scenario, however clean its trace --- *)
+
+let test_dead_worker_fails () =
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "optsoak-stub-%d" (Unix.getpid ()))
+  in
+  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  let merged = Filename.concat dir "merged.jsonl" in
+  (* A stub fabric: an empty merged trace (lint clean, no crashes) and
+     [clean] of the plan's final incarnations exiting 0. *)
+  let runner ~clean ~dir:_ (plan : Plan.t) =
+    close_out (open_out merged);
+    Ok
+      {
+        Supervisor.merged;
+        chrome = "";
+        events = 0;
+        dropped = 0;
+        crashes = 0;
+        clean_exits = clean plan.n;
+      }
+  in
+  let s = Scenario.generate ~seed:7L ~index:0 ~protocol:"damani-garg" in
+  let status clean =
+    match Soak.run_scenario ~runner:(runner ~clean) ~dir s with
+    | Error msg -> Alcotest.fail msg
+    | Ok r ->
+        Alcotest.(check (list (pair string int))) "trace lints clean" []
+          r.Soak.rr_violations;
+        let o = { Soak.oc_scenario = s; oc_result = Ok r; oc_minimal = None } in
+        Json.mem "status" (Soak.outcome_json o)
+  in
+  Alcotest.(check bool) "every worker exited clean: ok" true
+    (status Fun.id = Some (Json.String "ok"));
+  Alcotest.(check bool) "one worker died: failed" true
+    (status (fun n -> n - 1) = Some (Json.String "violation"))
+
 (* --- one tiny live campaign, end to end --- *)
 
 let test_small_live_campaign () =
@@ -425,6 +465,8 @@ let suite =
       test_campaign_records_deterministic;
     Alcotest.test_case "campaign: summary aggregates outcomes" `Quick
       test_summarize_aggregates;
+    Alcotest.test_case "campaign: a dead worker fails its scenario" `Quick
+      test_dead_worker_fails;
     Alcotest.test_case "campaign: one live scenario end to end" `Slow
       test_small_live_campaign;
     Alcotest.test_case "validate: numeric flag parsers" `Quick
