@@ -5,7 +5,7 @@
      dune exec bench/main.exe              # everything
      dune exec bench/main.exe -- table1    # one experiment
        (table1 | overhead | domino | recovery | concurrent | motivation |
-        ablation | extensions | micro | live | live_overhead | cluster)
+        ablation | extensions | micro)
 
    Experiment ids refer to DESIGN.md: T1 = paper Table 1, O1-O3 = Section
    6.9 overhead analysis, P1-P3 = the Section 1/6.8 properties. *)
@@ -18,13 +18,7 @@ module Network = Optimist_net.Network
 module Ftvc = Optimist_clock.Ftvc
 module History = Optimist_history.History
 module Vclock = Optimist_clock.Vclock
-module Live = Optimist_live.Supervisor
-module Plan = Optimist_live.Plan
 module Registry = Optimist_protocols.Registry
-module Live_merge = Optimist_live.Merge
-module Json = Optimist_obs.Json
-module Obs_trace = Optimist_obs.Trace
-module Cluster = Optimist_cluster.Coordinator
 
 let section title = Format.printf "@.=== %s ===@.@." title
 
@@ -911,301 +905,6 @@ let micro () =
     (List.sort (fun (a, _) (b, _) -> String.compare a b) rows)
 
 (* ------------------------------------------------------------------ *)
-(* L1: live runtime — the same protocol over real processes            *)
-(* ------------------------------------------------------------------ *)
-
-(* Not a micro-benchmark: one supervised wall-clock run per protocol,
-   with real SIGKILLs, reporting end-to-end throughput figures the
-   simulator cannot produce (it has no wall clock to speak of). *)
-(* A live run whose plan is fixed by the bench itself: an [Error] is a
-   bug here, not an input to report. *)
-let live_run ~dir plan =
-  match Live.run ~dir plan with Ok r -> r | Error msg -> failwith msg
-
-let live () =
-  section "L1: live runtime — real processes, sockets, SIGKILL";
-  let t =
-    Table.create
-      ~columns:
-        [
-          ("protocol", Table.Left);
-          ("wall (s)", Table.Right);
-          ("events", Table.Right);
-          ("events/s", Table.Right);
-          ("crashes", Table.Right);
-          ("clean exits", Table.Right);
-          ("torn lines", Table.Right);
-        ]
-  in
-  List.iter
-    (fun protocol ->
-      let name = Registry.name protocol in
-      let dir =
-        Filename.concat
-          (Filename.get_temp_dir_name ())
-          (Printf.sprintf "optbench-%s-%d" name (Unix.getpid ()))
-      in
-      let plan =
-        {
-          Plan.default with
-          n = 4;
-          protocol;
-          duration = 2.0;
-          settle = 1.5;
-          rate = 8.0;
-          kills = [ (0.8, 1); (1.4, 2) ];
-        }
-      in
-      let t0 = Unix.gettimeofday () in
-      let r = live_run ~dir plan in
-      let wall = Unix.gettimeofday () -. t0 in
-      Table.add_row t
-        [
-          name;
-          fmt_float wall;
-          string_of_int r.Live.events;
-          fmt_float (float_of_int r.Live.events /. wall);
-          string_of_int r.Live.crashes;
-          string_of_int r.Live.clean_exits;
-          string_of_int r.Live.dropped;
-        ])
-    Registry.[ Dg; Pessimist ];
-  Format.printf "%s@." (Table.render t)
-
-(* ------------------------------------------------------------------ *)
-(* L2: what the telemetry layer itself costs                           *)
-(* ------------------------------------------------------------------ *)
-
-(* The same fault-free live run three times: tracing disabled, tracing
-   into an in-memory ring (span/snapshot work done, nothing persisted),
-   and the default full JSONL persistence. Throughput comes from the
-   workers' own stats files, so the comparison measures the protocol
-   path, not the merge. *)
-let live_overhead () =
-  section "L2: live telemetry overhead (fault-free, Damani-Garg)";
-  let t =
-    Table.create
-      ~columns:
-        [
-          ("telemetry", Table.Left);
-          ("wall (s)", Table.Right);
-          ("delivered", Table.Right);
-          ("delivered/s", Table.Right);
-          ("trace bytes", Table.Right);
-          ("vs off", Table.Right);
-        ]
-  in
-  let baseline = ref None in
-  List.iter
-    (fun mode ->
-      let name = Plan.telemetry_name mode in
-      let dir =
-        Filename.concat
-          (Filename.get_temp_dir_name ())
-          (Printf.sprintf "optbench-tel-%s-%d" name (Unix.getpid ()))
-      in
-      let plan =
-        {
-          Plan.default with
-          n = 4;
-          duration = 2.0;
-          settle = 1.0;
-          rate = 20.0;
-          telemetry = mode;
-        }
-      in
-      let t0 = Unix.gettimeofday () in
-      let _r = live_run ~dir plan in
-      let wall = Unix.gettimeofday () -. t0 in
-      let delivered =
-        Sys.readdir dir |> Array.to_list
-        |> List.filter (fun f ->
-               String.length f > 7
-               && String.sub f 0 7 = "worker."
-               && Filename.check_suffix f ".json")
-        |> List.fold_left
-             (fun acc f ->
-               let ic = open_in (Filename.concat dir f) in
-               let line = input_line ic in
-               close_in ic;
-               match Json.of_string line with
-               | Error _ -> acc
-               | Ok j -> (
-                   match
-                     Option.bind (Json.mem "counters" j) (fun c ->
-                         Option.bind (Json.mem "delivered" c) Json.to_int)
-                   with
-                   | Some d -> acc + d
-                   | None -> acc))
-             0
-      in
-      let tput = float_of_int delivered /. wall in
-      let trace_bytes =
-        List.fold_left
-          (fun acc f -> acc + (Unix.stat f).Unix.st_size)
-          0
-          (Live_merge.trace_files dir)
-      in
-      let vs_off =
-        match !baseline with
-        | None ->
-            baseline := Some tput;
-            "100%"
-        | Some b -> Printf.sprintf "%.0f%%" (100.0 *. tput /. b)
-      in
-      Table.add_row t
-        [
-          name;
-          fmt_float wall;
-          string_of_int delivered;
-          fmt_float tput;
-          string_of_int trace_bytes;
-          vs_off;
-        ])
-    [ Plan.Off; Plan.Ring; Plan.Full ];
-  Format.printf "%s@." (Table.render t);
-  Format.printf
-    "expected shape: spans and snapshots are cheap next to real sockets and \
-     fsyncs —@.";
-  Format.printf
-    "the three modes should deliver within a few percent of each other.@."
-
-(* ------------------------------------------------------------------ *)
-(* L3: transport fabrics — UDS mesh vs TCP loopback                    *)
-(* ------------------------------------------------------------------ *)
-
-(* The same supervised Damani-Garg run (one SIGKILL) over both fabrics:
-   the classic single-host Unix-domain datagram mesh, and the cluster's
-   TCP stream mesh split across two localhost agents. Delivery latency
-   comes from Send→Deliver timestamp deltas in the merged trace (same
-   uid), recovery latency from the successor incarnations' "recovery"
-   spans, and the wire counters from the workers' own stats files. *)
-let cluster () =
-  section "L3: transport fabrics — UDS mesh vs TCP loopback (Damani-Garg)";
-  let percentile samples p =
-    match List.sort compare samples with
-    | [] -> 0.0
-    | sorted ->
-        let a = Array.of_list sorted in
-        a.(min (Array.length a - 1)
-            (int_of_float (p *. float_of_int (Array.length a))))
-  in
-  let mean = function
-    | [] -> 0.0
-    | l -> List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l)
-  in
-  let trace_latencies merged =
-    let sends = Hashtbl.create 1024 in
-    let lats = ref [] and recov = ref [] in
-    Obs_trace.iter_file merged ~f:(fun ~line:_ -> function
-      | Ok e -> (
-          match e.Obs_trace.kind with
-          | Obs_trace.Send { uid; _ } ->
-              if not (Hashtbl.mem sends uid) then
-                Hashtbl.replace sends uid e.Obs_trace.at
-          | Obs_trace.Deliver { uid; _ } -> (
-              match Hashtbl.find_opt sends uid with
-              | Some t0 -> lats := (e.Obs_trace.at -. t0) :: !lats
-              | None -> ())
-          | Obs_trace.Span { name = "recovery"; dur } -> recov := dur :: !recov
-          | _ -> ())
-      | Error _ -> ());
-    (!lats, !recov)
-  in
-  let net_count dir key =
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f ->
-           String.length f > 7
-           && String.sub f 0 7 = "worker."
-           && Filename.check_suffix f ".json")
-    |> List.fold_left
-         (fun acc f ->
-           let ic = open_in (Filename.concat dir f) in
-           let line = input_line ic in
-           close_in ic;
-           match Json.of_string line with
-           | Error _ -> acc
-           | Ok j -> (
-               match
-                 Option.bind (Json.mem "net" j) (fun net ->
-                     Option.bind (Json.mem key net) Json.to_int)
-               with
-               | Some v -> acc + v
-               | None -> acc))
-         0
-  in
-  let t =
-    Table.create
-      ~columns:
-        [
-          ("fabric", Table.Left);
-          ("wall (s)", Table.Right);
-          ("events", Table.Right);
-          ("deliver p50 (ms)", Table.Right);
-          ("deliver p95 (ms)", Table.Right);
-          ("recovery mean (ms)", Table.Right);
-          ("retransmits", Table.Right);
-          ("reconnects", Table.Right);
-        ]
-  in
-  let record fabric ~wall ~events ~dir ~merged =
-    let lats, recov = trace_latencies merged in
-    Table.add_row t
-      [
-        fabric;
-        fmt_float wall;
-        string_of_int events;
-        fmt_float (1000.0 *. percentile lats 0.5);
-        fmt_float (1000.0 *. percentile lats 0.95);
-        fmt_float (1000.0 *. mean recov);
-        string_of_int (net_count dir "retransmits");
-        string_of_int (net_count dir "reconnects");
-      ]
-  in
-  let plan =
-    {
-      Plan.default with
-      n = 4;
-      duration = 2.0;
-      settle = 1.5;
-      rate = 8.0;
-      kills = [ (0.8, 1) ];
-    }
-  in
-  (let dir =
-     Filename.concat
-       (Filename.get_temp_dir_name ())
-       (Printf.sprintf "optbench-uds-%d" (Unix.getpid ()))
-   in
-   let t0 = Unix.gettimeofday () in
-   let r = live_run ~dir plan in
-   let wall = Unix.gettimeofday () -. t0 in
-   record "uds" ~wall ~events:r.events ~dir ~merged:r.merged);
-  (let out =
-     Filename.concat
-       (Filename.get_temp_dir_name ())
-       (Printf.sprintf "optbench-tcp-%d" (Unix.getpid ()))
-   in
-   let port_base = 23000 + (Unix.getpid () mod 2000) in
-   let t0 = Unix.gettimeofday () in
-   match
-     Cluster.run_forked ~out ~worker_base:(port_base + 100) ~port_base
-       ~agents:2 plan
-   with
-   | Error msg -> Format.printf "tcp-loopback run failed: %s@." msg
-   | Ok r ->
-       let wall = Unix.gettimeofday () -. t0 in
-       record "tcp-loopback (2 agents)" ~wall ~events:r.events ~dir:out
-         ~merged:r.merged);
-  Format.printf "%s@." (Table.render t);
-  Format.printf
-    "expected shape: TCP loopback adds modest per-hop latency (framing + \
-     stream buffering) and@.";
-  Format.printf
-    "shows nonzero reconnects after the SIGKILL; both fabrics recover and \
-     deliver comparably.@."
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   let experiments =
@@ -1219,9 +918,6 @@ let () =
       ("ablation", ablation);
       ("extensions", extensions);
       ("micro", micro);
-      ("live", live);
-      ("live_overhead", live_overhead);
-      ("cluster", cluster);
     ]
   in
   let args = Array.to_list Sys.argv |> List.tl in

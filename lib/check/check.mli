@@ -87,7 +87,6 @@ type violation = {
 }
 
 val pp_violation : Format.formatter -> violation -> unit
-val violation_to_json : violation -> Optimist_obs.Json.t
 
 (** {2 Monitor — the streaming rule engine} *)
 
@@ -103,10 +102,6 @@ module Monitor : sig
   (** Advance the monitor by one event. Events must arrive in trace
       order (the engine's deterministic event order). *)
 
-  val parse_error : t -> line:int -> string -> unit
-  (** Report an unparsable trace line (an OPT001 violation when that
-      rule is enabled). *)
-
   val finish : t -> violation list
   (** Run end-of-trace rules (output-commit safety against the full
       token set, unmatched failures) and return every violation in
@@ -114,7 +109,8 @@ module Monitor : sig
 
   val sink : t -> Trace.sink
   (** The monitor as a trace sink, for online attachment:
-      [Trace.attach (Engine.ensure_tracer engine) (Monitor.sink m)]. *)
+      [Trace.attach trace (Monitor.sink m)], where [trace] is the enabled
+      recorder the run emits into. *)
 
   val events_seen : t -> int
 

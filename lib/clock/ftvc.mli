@@ -127,6 +127,4 @@ val size_words : t -> int
     process) — the quantity Table 1 reports as O(n) and Section 6.9
     analyses. *)
 
-val pp_entry : Format.formatter -> entry -> unit
-
 val pp : Format.formatter -> t -> unit

@@ -41,11 +41,9 @@ type ('s, 'm) stable_hooks = {
 }
 (** Mirrors every transition of the stable (crash-surviving) state onto an
     external medium. Hooks fire after the in-memory transition and before
-    the corresponding trace event. The simulation leaves them at
-    {!null_hooks}; the live runtime writes through to disk so a SIGKILL-ed
+    the corresponding trace event. The simulation installs none (every
+    hook a no-op); the live runtime writes through to disk so a SIGKILL-ed
     worker can be rebuilt from an {!image}. *)
-
-val null_hooks : ('s, 'm) stable_hooks
 
 type ('s, 'm) image = {
   im_log : 'm Types.log_entry array;  (** stable prefix, position order *)
@@ -97,8 +95,8 @@ val create_rt :
   unit ->
   ('s, 'm) t
 (** Substrate-agnostic constructor behind {!create}. [stable] mirrors
-    stable-state transitions to an external store ({!null_hooks} by
-    default). [restore] rebuilds the process from a previously persisted
+    stable-state transitions to an external store (by default every hook
+    is a no-op). [restore] rebuilds the process from a previously persisted
     {!image} instead of a blank slate — the in-memory state stays at the
     initial state until {!recover} restores and replays; no initial
     checkpoint is taken. *)
@@ -145,8 +143,6 @@ val held_count : ('s, 'm) t -> int
 val pending_output_count : ('s, 'm) t -> int
 (** Outputs buffered awaiting the commit rule. *)
 
-val committed_output_count : ('s, 'm) t -> int
-(** Outputs released to the environment so far. *)
 
 val share_frontier : ('s, 'm) t -> unit
 (** Broadcast this process's logged-frontier view on the control plane;

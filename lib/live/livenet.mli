@@ -30,9 +30,6 @@ val factory : dir:string -> Link.factory
 val sock_path : string -> int -> string
 (** [sock_path dir i] is worker [i]'s socket path. *)
 
-val sun_path_max : int
-(** Portable floor of [sizeof sun_path] (104 bytes). *)
-
 val check_dir : dir:string -> n:int -> (unit, string) result
 (** One-line error if any of the [n] socket paths under [dir] would
     overflow [sun_path]. Callers with a CLI surface should check first

@@ -20,7 +20,6 @@ type result = {
 }
 
 val merged_file : string -> string
-val chrome_file : string -> string
 val run_file : string -> string
 
 val clean_dir : string -> unit

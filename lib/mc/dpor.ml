@@ -47,8 +47,6 @@ let canonical (cands : Engine.candidate array) :
   in
   tag None 0 sorted
 
-let pid_of = function Fire f -> f.pid | Crash p -> p
-
 (* Independence relation for sleep sets. Two fired events commute when
    they act on different processes: every labelled event (delivery,
    timer, restart, injection) mutates exactly one process's state plus

@@ -10,16 +10,12 @@ type decision =
           engine sequence numbers *)
   | Crash of int  (** crash the process at the current instant *)
 
-val fire_of_label : Engine.label -> nth:int -> decision
-
 val compare_label : Engine.label -> Engine.label -> int
 
 val canonical : Engine.candidate array -> (Engine.candidate * decision) list
 (** The enabled set sorted by label (ties by seq), paired with each
     candidate's decision. The head is the checker's deterministic
     default choice wherever it does not branch. *)
-
-val pid_of : decision -> int
 
 val independent : decision -> decision -> bool
 (** [true] when the two transitions commute: both are labelled events

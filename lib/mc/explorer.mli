@@ -36,14 +36,5 @@ type outcome = {
           order; empty unless [log_schedules] *)
 }
 
-val minimize :
-  build:(unit -> Model.instance) ->
-  crashes:int ->
-  max_steps:int ->
-  Dpor.decision list ->
-  (Dpor.decision list * string list) option
-(** Shortest prefix of the given decision sequence that still violates
-    when completed with the canonical default schedule. *)
-
 val explore :
   build:(unit -> Model.instance) -> crashes:int -> opts -> outcome

@@ -91,8 +91,6 @@ let reachable t src dst =
   | None -> true
   | Some groups -> groups.(src) = groups.(dst)
 
-let is_down t id = t.down.(id)
-
 let traffic_label = function Data -> "data" | Control -> "control"
 
 (* Network events are infrastructure, not protocol state, so they go out

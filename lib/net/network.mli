@@ -95,8 +95,6 @@ val set_up : 'a t -> ?drop_held_data:bool -> int -> unit
     held [Data] messages are dropped when [drop_held_data] (default
     [false]), otherwise delivered with fresh latency. *)
 
-val is_down : 'a t -> int -> bool
-
 (** {2 Introspection} *)
 
 val config : 'a t -> config

@@ -18,8 +18,6 @@ type t =
 val to_string : t -> string
 (** Compact (single-line) rendering. *)
 
-val to_buffer : Buffer.t -> t -> unit
-
 val of_string : string -> (t, string) result
 (** Parses one JSON value (surrounding whitespace allowed). Rejects
     trailing garbage. Numbers with a fraction or exponent parse as

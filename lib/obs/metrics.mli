@@ -48,9 +48,6 @@ module Scope : sig
   val gauge : t -> string -> float
   (** 0.0 for a name never set. *)
 
-  val gauges : t -> (string * float) list
-  (** Sorted by name. *)
-
   (** {2 Summaries and histograms} — distributions of observations. *)
 
   val observe : t -> string -> float -> unit

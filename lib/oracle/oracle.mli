@@ -31,8 +31,6 @@ val tracer : t -> Optimist_core.Types.tracer
 
 (** {2 Ground truth} *)
 
-val node_count : t -> int
-
 val status_counts : t -> int * int * int
 (** (live, lost, discarded). *)
 
@@ -42,14 +40,6 @@ val failures : t -> int
 val rollbacks_of : t -> int -> int
 (** Rollbacks performed by process [pid]. *)
 
-val orphan_live_nodes : t -> int list
-(** Live states reachable from a lost state — must be empty at quiescence
-    (Theorem 2). *)
-
-val unjustified_discards : t -> int list
-(** Discarded states {e not} reachable from any lost state — each one is a
-    needless rollback, contradicting "recover maximum recoverable state".
-    Must be empty. *)
 
 (** {2 Checks} *)
 

@@ -28,11 +28,6 @@ type label = {
     the model checker address "the delivery from 0 to 2" across
     different interleavings. *)
 
-val anon : label
-(** The label events get when the scheduling site does not provide one.
-    Anonymous events are still schedulable and explorable, but a
-    strategy cannot tell two of them apart except by queue order. *)
-
 val create : ?seed:int64 -> unit -> t
 (** [create ~seed ()] makes an engine whose PRNG is seeded with [seed]
     (default [1L]). *)
@@ -53,12 +48,6 @@ val set_tracer : t -> Optimist_obs.Trace.t -> unit
 (** Install a recorder. Call before constructing the model so every
     component picks it up. *)
 
-val ensure_tracer : t -> Optimist_obs.Trace.t
-(** The engine's recorder, installing a fresh enabled-capable one first
-    if the current recorder is [Trace.null]. Lets observers (sanitizer
-    monitors, ad-hoc sinks) attach to an engine whose caller did not ask
-    for tracing, without clobbering a recorder that is already set. *)
-
 val schedule :
   t -> ?daemon:bool -> ?label:label -> delay:time -> (unit -> unit) -> cancel
 (** [schedule t ~delay f] runs [f] at [now t +. delay]. [delay] must be
@@ -69,7 +58,8 @@ val schedule :
     timers (log flush, checkpointing) are daemons; everything that is real
     work (message deliveries, crashes, stimuli) is not.
 
-    [label] (default {!anon}) names the event for scheduling strategies;
+    [label] (default: an anonymous label that a strategy can tell apart
+    from another only by queue order) names the event for scheduling strategies;
     it has no effect on execution. *)
 
 val schedule_at :

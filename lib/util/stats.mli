@@ -19,7 +19,6 @@ module Summary : sig
   val variance : t -> float
   (** Population variance (Welford); 0 when fewer than two samples. *)
 
-  val stddev : t -> float
   val min : t -> float
   (** 0 when empty. *)
 
