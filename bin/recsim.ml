@@ -884,9 +884,11 @@ let live_report_cmd =
           exit 2
     in
     let n = Option.value ~default:0 (int_field summary "n") in
-    Printf.printf "protocol:     %s\n"
-      (Option.value ~default:"?"
-         (Option.bind (field summary "protocol") Json.string_value));
+    let protocol_name =
+      Option.value ~default:"?"
+        (Option.bind (field summary "protocol") Json.string_value)
+    in
+    Printf.printf "protocol:     %s\n" protocol_name;
     List.iter
       (fun name ->
         match int_field summary name with
@@ -956,15 +958,23 @@ let live_report_cmd =
             ]
     done;
     Format.printf "%s@." (Table.render t);
+    (* Lint with the rules the run's protocol declares, as [live run]
+       and soak do; a run.json naming no known protocol gets every rule. *)
+    let protocol = Registry.of_string protocol_name in
     (if Sys.file_exists merged then
-       match Check.Lint.run ~only:[] ~ignore:[] merged with
+       match
+         Check.Lint.run
+           ~only:(Option.fold ~none:[] ~some:Registry.live_check_rules protocol)
+           merged
+       with
        | Ok report ->
-           Printf.printf "sanitizer:    %d error(s), %d warning(s)%s\n"
+           Printf.printf "sanitizer:    %d error(s), %d warning(s)%s%s\n"
              (Check.Lint.errors report)
              (Check.Lint.warnings report)
              (match Check.Lint.schema_mismatch report with
              | Some v -> Printf.sprintf " (schema mismatch: %d)" v
              | None -> "")
+             (if protocol = None then " (every rule: unknown protocol)" else "")
        | Error msg -> Printf.printf "sanitizer:    unavailable (%s)\n" msg
      else Printf.printf "sanitizer:    no merged trace at %s\n" merged);
     let t_opt = profile () in

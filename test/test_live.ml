@@ -483,6 +483,42 @@ let test_live_report_damaged_dir () =
       Alcotest.failf "damaged stats files: exit %d (%s)" code
         (String.concat " / " err)
 
+(* The report lints with the rules the run's protocol declares, as
+   [live run] and soak do. The fixture trips only OPT004, which
+   sender-based does not declare; an unknown protocol gets every rule. *)
+let test_live_report_protocol_rules () =
+  let fixture =
+    Filename.concat
+      (Filename.dirname Sys.executable_name)
+      (Filename.concat "fixtures" "forged_orphan_delivery.jsonl")
+  in
+  let dir = temp_dir () in
+  write_file (Supervisor.merged_file dir)
+    (In_channel.with_open_text fixture In_channel.input_all);
+  List.iter
+    (fun (protocol, errors) ->
+      write_file (Supervisor.run_file dir)
+        (Printf.sprintf {|{"protocol":%S,"n":2,"generations":[0,0]}|}
+           protocol);
+      match live_report dir with
+      | 0, (out, _) -> (
+          match
+            List.find_opt (fun l -> String.starts_with ~prefix:"sanitizer:" l) out
+          with
+          | Some l ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: %s" protocol errors)
+                true (contains l errors)
+          | None -> Alcotest.failf "%s: no sanitizer line" protocol)
+      | code, (_, err) ->
+          Alcotest.failf "%s: exit %d (%s)" protocol code
+            (String.concat " / " err))
+    [
+      ("sender-based", " 0 error(s)");
+      ("damani-garg", " 1 error(s)");
+      ("no-such-protocol", "every rule");
+    ]
+
 let suite =
   [
     Alcotest.test_case "loop: timers fire in order" `Quick
@@ -517,4 +553,6 @@ let suite =
       test_supervisor_validates;
     Alcotest.test_case "live report: empty run.json and stats files" `Quick
       test_live_report_damaged_dir;
+    Alcotest.test_case "live report: lints with the protocol's rules" `Quick
+      test_live_report_protocol_rules;
   ]
