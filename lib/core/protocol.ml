@@ -93,8 +93,9 @@ module type S = sig
   val state : ('s, 'm) t -> 's
 end
 
-(* The simulated face: exactly the surface every baseline module
-   already exports. *)
+(* The simulated face, which one builder ([Optimist_runner.Runner.build])
+   drives for every protocol. The baselines export it as they are;
+   Damani-Garg's {!Process} through [Registry.Dg_sim]. *)
 module type SIM = sig
   type ('s, 'm) t
   type 'm wire
@@ -107,19 +108,37 @@ module type SIM = sig
     id:int ->
     n:int ->
     ?config:config ->
+    ?tracer:Types.tracer ->
     ?metrics:Metrics.Scope.t ->
     next_uid:(unit -> int) ->
     unit ->
     ('s, 'm) t
+  (** [tracer] receives the ground truth the oracle audits. Only
+      Damani-Garg reports it ([Registry]'s [ground_truth]); the
+      baselines ignore it. *)
 
   val inject : ('s, 'm) t -> 'm -> unit
   val fail : ('s, 'm) t -> unit
   val alive : ('s, 'm) t -> bool
   val state : ('s, 'm) t -> 's
+  val counters : ('s, 'm) t -> (string * int) list
+  val incarnation : ('s, 'm) t -> int option
 
   val check_rules : string list
   (** The sanitizer rules the protocol's traces satisfy. *)
 end
+
+(* [M] with every process built at [config], whatever [create] is
+   given. *)
+let with_config (type c) (module M : SIM with type config = c) (config : c)
+    : (module SIM) =
+  (module struct
+    include M
+
+    let create ~engine ~net ~app ~id ~n ?config:_ ?tracer ?metrics ~next_uid
+        () =
+      M.create ~engine ~net ~app ~id ~n ~config ?tracer ?metrics ~next_uid ()
+  end)
 
 (* A baseline carries both faces in one module: [create] is [create_rt]
    on the engine with {!null_store} at gen 0. *)

@@ -1,16 +1,14 @@
 module Engine = Optimist_sim.Engine
 module Network = Optimist_net.Network
-module Metrics = Optimist_obs.Metrics
 module Trace = Optimist_obs.Trace
 module Types = Optimist_core.Types
-module System = Optimist_core.System
-module Process = Optimist_core.Process
-module Oracle = Optimist_oracle.Oracle
+module Schedule = Optimist_workload.Schedule
 module Traffic = Optimist_workload.Traffic
 module Check = Optimist_check.Check
 module Protocol = Optimist_core.Protocol
 module Registry = Optimist_protocols.Registry
 module Pessimistic = Optimist_protocols.Pessimistic
+module Runner = Optimist_runner.Runner
 
 (* A model-checking configuration: one small protocol instance plus a
    traffic script and a crash budget. Everything the checker explores is
@@ -95,164 +93,83 @@ type instance = {
    draws that do happen have interleaving-independent outcomes. All
    injections land at t=0, making the first instant the first genuine
    branch point. *)
-let mc_net_config ~n ~dup =
+let mc_net_config cfg =
   {
-    (Network.default_config ~n) with
+    (Network.default_config ~n:cfg.n) with
     Network.ordering = Network.Reorder;
     latency = Network.Constant 1.0;
     control_latency = Some (Network.Constant 1.0);
     drop_probability = 0.0;
-    duplicate_probability = dup;
+    duplicate_probability = (if cfg.mutation = "skip-dedup" then 1.0 else 0.0);
   }
 
-(* Short periods relative to the 1.0 delivery latency so timer events
-   genuinely race with deliveries inside small exploration depths. *)
-let mc_dg_config ~hold ~mutation =
-  {
-    Types.default_config with
-    Types.flush_interval = 3.0;
-    checkpoint_interval = 11.0;
-    restart_delay = 5.0;
-    hold_undeliverable = hold;
-    mutation;
-  }
-
-let mc_pessimistic_config ~mutation =
-  {
-    Pessimistic.sync_write_latency = 0.5;
-    checkpoint_interval = 4.0;
-    restart_delay = 5.0;
-    ack_before_fsync = (mutation = "ack-before-fsync");
-  }
+(* The checker runs Damani-Garg and the pessimistic logger at short
+   periods relative to the 1.0 delivery latency, so timer events
+   genuinely race with deliveries inside small exploration depths; their
+   mutants extend these configs. The other baselines run at their
+   defaults. *)
+let mc_sim cfg : (module Protocol.SIM) =
+  match cfg.protocol with
+  | Registry.Dg | Registry.Dg_nohold ->
+      Protocol.with_config
+        (module Registry.Dg_sim)
+        {
+          Types.default_config with
+          Types.flush_interval = 3.0;
+          checkpoint_interval = 11.0;
+          restart_delay = 5.0;
+          hold_undeliverable = cfg.protocol = Registry.Dg;
+          mutation =
+            (match cfg.mutation with
+            | "skip-piggyback" -> Types.M_drop_piggyback
+            | "skip-dedup" -> Types.M_skip_dedup
+            | "eager-rollback" -> Types.M_eager_rollback
+            | _ -> Types.M_none);
+        }
+  | Registry.Pessimist ->
+      Protocol.with_config
+        (module Pessimistic)
+        {
+          Pessimistic.sync_write_latency = 0.5;
+          checkpoint_interval = 4.0;
+          restart_delay = 5.0;
+          ack_before_fsync = cfg.mutation = "ack-before-fsync";
+        }
+  | _ -> (Registry.entry cfg.protocol).Registry.sim
 
 let violation_string (v : Check.violation) =
   Printf.sprintf "%s %s: %s" v.Check.rule.Check.id v.Check.rule.Check.slug
     v.Check.message
 
-let inject_label pid = { Engine.l_kind = "inject"; l_pid = pid; l_src = -1;
-                         l_info = "" }
-
-(* A recorder feeding the protocol's sanitizer rules (and [sink]). *)
-let monitored_trace ?sink cfg =
+let build ?sink cfg =
+  validate cfg;
   let trace = Trace.create () in
-  let monitor =
-    Check.Monitor.create ~rules:(Registry.check_rules cfg.protocol) ()
-  in
-  Trace.attach trace (Check.Monitor.sink monitor);
   Option.iter (Trace.attach trace) sink;
-  (trace, monitor)
-
-let build_damani ?sink cfg ~hold =
-  let mutation =
-    match cfg.mutation with
-    | "" -> Types.M_none
-    | "skip-piggyback" -> Types.M_drop_piggyback
-    | "skip-dedup" -> Types.M_skip_dedup
-    | "eager-rollback" -> Types.M_eager_rollback
-    | m -> invalid_arg (Printf.sprintf "Model: mutation %S is not a DG mutation" m)
+  let injections =
+    List.init cfg.msgs (fun i ->
+        { Schedule.at = 0.0; pid = i mod cfg.n; key = i + 1; hops = cfg.hops })
   in
-  let dup = if mutation = Types.M_skip_dedup then 1.0 else 0.0 in
-  let oracle = Oracle.create ~n:cfg.n in
-  let trace, monitor = monitored_trace ?sink cfg in
-  let sys =
-    System.create ~seed:1L ~net_config:(mc_net_config ~n:cfg.n ~dup)
-      ~config:(mc_dg_config ~hold ~mutation) ~tracer:(Oracle.tracer oracle)
-      ~trace ~n:cfg.n
-      ~app:(Traffic.app ~n:cfg.n Traffic.Ring)
-      ()
+  let s =
+    Runner.build ~sim:(mc_sim cfg) ~protocol:cfg.protocol ~seed:1L
+      ~net:(mc_net_config cfg) ~pattern:Traffic.Ring ~trace ~check:true
+      ~oracle:(Result.is_ok (Registry.ground_truth cfg.protocol))
+      (Schedule.make ~injections ~faults:[])
   in
-  for i = 0 to cfg.msgs - 1 do
-    System.inject_at sys ~at:0.0 ~pid:(i mod cfg.n)
-      (Traffic.fresh ~key:(i + 1) ~hops:cfg.hops)
-  done;
-  let proc pid = System.process sys pid in
   {
-    i_engine = System.engine sys;
-    i_alive = (fun pid -> Process.alive (proc pid));
-    i_crash = (fun pid -> Process.fail (proc pid));
+    i_engine = s.engine;
+    i_alive = s.alive;
+    i_crash = s.crash;
     i_digest =
       (fun () ->
         let acc = ref 0 in
         for pid = 0 to cfg.n - 1 do
-          let p = proc pid in
           acc :=
-            Hashtbl.hash
-              (!acc, Traffic.digest (Process.state p), Process.alive p,
-               Process.version p)
+            Hashtbl.hash (!acc, s.digest pid, s.alive pid, s.incarnation pid)
         done;
         !acc);
     i_finish =
       (fun () ->
-        Check.Monitor.cross_check monitor ~n:cfg.n
-          ~failures:(Oracle.failures oracle)
-          ~rollbacks_of:(Oracle.rollbacks_of oracle);
-        let sanitizer =
-          List.map violation_string (Check.Monitor.finish monitor)
-        in
-        let ground_truth =
-          List.map
-            (fun v -> Printf.sprintf "oracle %s: %s" v.Oracle.check v.Oracle.detail)
-            (Oracle.check oracle)
-        in
-        sanitizer @ ground_truth);
+        let sanitizer, ground_truth = s.verdict () in
+        List.map violation_string sanitizer
+        @ List.map (fun v -> "oracle " ^ v) ground_truth);
   }
-
-(* Baselines share one sim surface; only the module differs. *)
-let build_baseline ?sink cfg ~name sim =
-  let module P = (val sim : Protocol.SIM) in
-  let engine = Engine.create ~seed:1L () in
-  let trace, monitor = monitored_trace ?sink cfg in
-  Engine.set_tracer engine trace;
-  let net = Network.create engine (mc_net_config ~n:cfg.n ~dup:0.0) in
-  let registry = Metrics.registry () in
-  let uid = ref 0 in
-  let next_uid () = incr uid; !uid in
-  let app = Traffic.app ~n:cfg.n Traffic.Ring in
-  let procs =
-    Array.init cfg.n (fun id ->
-        let metrics =
-          Metrics.Scope.create ~registry ~protocol:name ~process:id ()
-        in
-        P.create ~engine ~net ~app ~id ~n:cfg.n ~metrics ~next_uid ())
-  in
-  for i = 0 to cfg.msgs - 1 do
-    let pid = i mod cfg.n in
-    let msg = Traffic.fresh ~key:(i + 1) ~hops:cfg.hops in
-    ignore
-      (Engine.schedule_at engine ~label:(inject_label pid) 0.0 (fun () ->
-           P.inject procs.(pid) msg))
-  done;
-  {
-    i_engine = engine;
-    i_alive = (fun pid -> P.alive procs.(pid));
-    i_crash = (fun pid -> P.fail procs.(pid));
-    i_digest =
-      (fun () ->
-        Array.fold_left
-          (fun acc p -> Hashtbl.hash (acc, Traffic.digest (P.state p), P.alive p))
-          0 procs);
-    i_finish =
-      (fun () -> List.map violation_string (Check.Monitor.finish monitor));
-  }
-
-(* The pessimistic baseline runs under the checker's short-period config,
-   which the ack-before-fsync mutant extends. *)
-let mc_sim cfg sim =
-  if cfg.protocol <> Registry.Pessimist then sim
-  else
-    (module struct
-      include Pessimistic
-
-      let create ~engine ~net ~app ~id ~n ?config:_ ?metrics ~next_uid () =
-        Pessimistic.create ~engine ~net ~app ~id ~n
-          ~config:(mc_pessimistic_config ~mutation:cfg.mutation)
-          ?metrics ~next_uid ()
-    end : Protocol.SIM)
-
-let build ?sink cfg =
-  validate cfg;
-  let e = Registry.entry cfg.protocol in
-  match e.Registry.sim with
-  | Registry.System { hold } -> build_damani ?sink cfg ~hold
-  | Registry.Sim sim ->
-      build_baseline ?sink cfg ~name:e.Registry.name (mc_sim cfg sim)

@@ -47,7 +47,8 @@ type instance = {
 }
 
 val build : ?sink:Trace.sink -> cfg -> instance
-(** Construct a fresh instance: engine, network, processes, monitor
-    (and, for Damani-Garg, the ground-truth oracle), with all traffic
-    injected at t=0. [sink] additionally receives the execution's trace
-    events (used by counterexample replay). *)
+(** Construct a fresh instance through {!Optimist_runner.Runner.build}:
+    engine, network, processes, monitor (and, for a protocol that
+    reports ground truth, the oracle), with all traffic injected at
+    t=0. [sink] additionally receives the execution's trace events (used
+    by counterexample replay). *)

@@ -301,7 +301,7 @@ let create_rt ~rt ~net ~app ~id:pid ~n ?(config = default_config) ?metrics
   store.write_gen gen;
   t
 
-let create ~engine ~net ~app ~id ~n ?config ?metrics ~next_uid () =
+let create ~engine ~net ~app ~id ~n ?config ?tracer:_ ?metrics ~next_uid () =
   create_rt ~rt:(Transport.of_engine engine) ~net:(Transport.of_network net)
     ~app ~id ~n ?config ?metrics ~gen:0 ~store:Protocol.null_store ~next_uid ()
 

@@ -297,8 +297,8 @@ let handle_wire t (env : 'm wire Network.envelope) =
   | W_resume { round } ->
       t.active <- List.filter (fun a -> a.a_round <> round) t.active
 
-let create ~engine ~net ~app ~id:pid ~n ?(config = default_config) ?metrics ~next_uid ()
-    =
+let create ~engine ~net ~app ~id:pid ~n ?(config = default_config) ?tracer:_
+    ?metrics ~next_uid () =
   let metrics =
     match metrics with
     | Some m -> m
@@ -354,3 +354,6 @@ let create ~engine ~net ~app ~id:pid ~n ?(config = default_config) ?metrics ~nex
    as version-0 FTVC entries) do. *)
 let check_rules =
   [ "OPT001"; "OPT002"; "OPT003"; "OPT005"; "OPT006"; "OPT007"; "OPT013" ]
+
+(* A plain vector clock: no incarnation numbers. *)
+let incarnation _ = None

@@ -19,9 +19,6 @@
     orphans; the [unsupported_overlap] counter reports when the
     implementation detects that its assumption was violated. *)
 
-module Engine = Optimist_sim.Engine
-module Network = Optimist_net.Network
-
 type 'm wire
 
 type ('s, 'm) t
@@ -34,32 +31,15 @@ type config = {
 
 val default_config : config
 
-val create :
-  engine:Engine.t ->
-  net:'m wire Network.t ->
-  app:('s, 'm) Optimist_core.Types.app ->
-  id:int ->
-  n:int ->
-  ?config:config ->
-  ?metrics:Optimist_obs.Metrics.Scope.t ->
-  next_uid:(unit -> int) ->
-  unit ->
-  ('s, 'm) t
+include
+  Optimist_core.Protocol.SIM
+    with type ('s, 'm) t := ('s, 'm) t
+     and type 'm wire := 'm wire
+     and type config := config
 
 val id : ('s, 'm) t -> int
-val alive : ('s, 'm) t -> bool
 val blocked : ('s, 'm) t -> bool
-val state : ('s, 'm) t -> 's
-val inject : ('s, 'm) t -> 'm -> unit
-val fail : ('s, 'm) t -> unit
 val metrics : ('s, 'm) t -> Optimist_obs.Metrics.Scope.t
 (** The per-process metrics scope (labelled with this protocol's
     name); shares counter names with the core engine where the
     concepts coincide. *)
-
-val counters : ('s, 'm) t -> (string * int) list
-
-val check_rules : string list
-(** Trace-sanitizer rule ids (see [optimist.check]) that are meaningful
-    for this baseline; [Runner.check_rules] consults this under
-    [recsim run --check]. *)

@@ -27,18 +27,14 @@ end
 
 include Ids
 
-(* How the simulator runs a protocol: the Damani-Garg variants through
-   [Optimist_core.System] (oracle, partitions, network statistics), the
-   baselines through their sim surface. *)
-type sim = System of { hold : bool } | Sim of (module Protocol.SIM)
-
 type entry = {
   id : id;
   name : string;  (** canonical: printed by every table, trace and summary *)
   aliases : string list;  (** also accepted on input *)
-  check_rules : string list;  (** sanitizer rules its traces satisfy *)
   fifo : bool;  (** assumes FIFO channels *)
-  sim : sim;
+  ground_truth : bool;
+      (** reports to the oracle through {!Protocol.SIM}'s [tracer] *)
+  sim : (module Protocol.SIM);
   live : (module Protocol.S) option;  (** [None]: simulation only *)
 }
 
@@ -105,22 +101,41 @@ module Dg_live = struct
   let finish = flush_now
 end
 
+(* --- Damani-Garg's simulated implementation ---
+
+   The sim twin of [Dg_live]: [Process] on the engine, whose counters
+   also carry the Section 6.9(3) history footprint. *)
+
+module Dg_sim = struct
+  include Dg_live
+
+  type config = Types.config
+
+  let create ~engine ~net ~app ~id ~n ?config ?tracer ?metrics ~next_uid () =
+    Process.create ~engine ~net ~app ~id ~n ?config ?tracer ?metrics ~next_uid
+      ()
+
+  let counters p = ("history_records", history_record_count p) :: counters p
+  let check_rules = Check.all_ids
+end
+
 (* --- the table --- *)
 
-(* The Damani-Garg variants carry every sanitizer rule; each baseline
-   declares its own subset. *)
-let dg ?live id name aliases ~hold =
-  let sim = System { hold } in
-  { id; name; aliases; check_rules = Check.all_ids; fifo = false; sim; live }
+(* The Damani-Garg variants report ground truth; the baselines none. *)
+let dg ?live id name aliases sim =
+  { id; name; aliases; fifo = false; ground_truth = true; sim; live }
 
-let baseline ?(fifo = false) ?live id name aliases (module M : Protocol.SIM) =
-  let sim = Sim (module M) in
-  { id; name; aliases; check_rules = M.check_rules; fifo; sim; live }
+let baseline ?(fifo = false) ?live id name aliases sim =
+  { id; name; aliases; fifo; ground_truth = false; sim; live }
 
 let entries =
   [
-    dg Dg "damani-garg" [ "dg" ] ~hold:true ~live:(module Dg_live);
-    dg Dg_nohold "damani-garg-nohold" [] ~hold:false;
+    dg Dg "damani-garg" [ "dg" ] (module Dg_sim) ~live:(module Dg_live);
+    (* the Section 6.1 deliverability hold off, whatever config it gets *)
+    dg Dg_nohold "damani-garg-nohold" []
+      (Protocol.with_config
+         (module Dg_sim)
+         { Types.default_config with hold_undeliverable = false });
     baseline Pessimist "pessimistic" [ "pessimist" ]
       (module Pessimistic)
       ~live:(module Protocol.Live (Pessimistic));
@@ -143,13 +158,29 @@ let entries =
 let entry id = List.find (fun e -> e.id = id) entries
 let all = List.map (fun e -> e.id) entries
 let name id = (entry id).name
-let check_rules id = (entry id).check_rules
+
+let check_rules id =
+  let module M = (val (entry id).sim) in
+  M.check_rules
+
 let fifo id = (entry id).fifo
 
 let of_string s =
   List.find_map
     (fun e -> if e.name = s || List.mem s e.aliases then Some e.id else None)
     entries
+
+(* Whether the oracle can audit a run: [Ok ()], or a one-line error
+   naming the protocols it can. *)
+let ground_truth id =
+  if (entry id).ground_truth then Ok ()
+  else
+    let names = List.filter (fun e -> e.ground_truth) entries in
+    Error
+      (Printf.sprintf
+         "%s reports no ground truth to the oracle (oracle protocols: %s)"
+         (name id)
+         (String.concat " | " (List.map (fun e -> e.name) names)))
 
 let live_protocols =
   List.filter_map (fun e -> Option.map (fun _ -> e.id) e.live) entries

@@ -3,14 +3,10 @@ module Network = Optimist_net.Network
 module Counters = Optimist_util.Stats.Counters
 module Metrics = Optimist_obs.Metrics
 module Trace = Optimist_obs.Trace
-module Types = Optimist_core.Types
-module System = Optimist_core.System
-module Process = Optimist_core.Process
 module Oracle = Optimist_oracle.Oracle
 module Schedule = Optimist_workload.Schedule
 module Traffic = Optimist_workload.Traffic
 module Check = Optimist_check.Check
-module Protocol = Optimist_core.Protocol
 module Registry = Optimist_protocols.Registry
 
 type check_mode = No_check | Check | Check_strict
@@ -81,140 +77,126 @@ let merge_counters dumps =
   Hashtbl.fold (fun k r l -> (k, !r) :: l) acc []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let injections params =
-  Schedule.poisson_injections ~seed:(Int64.add params.seed 7919L) ~n:params.n
-    ~rate:params.rate ~duration:params.duration ~hops:params.hops
+type sim = {
+  engine : Engine.t;
+  registry : Metrics.registry;
+  oracle : Oracle.t option;
+  alive : int -> bool;
+  crash : int -> unit;
+  digest : int -> int;
+  incarnation : int -> int option;
+  counters : unit -> (string * int) list;
+  net_stats : unit -> (string * int) list;
+  verdict : unit -> Check.violation list * string list;
+}
 
-let net_config params =
-  {
-    (Network.default_config ~n:params.n) with
-    Network.ordering = params.ordering;
-    drop_probability = params.drop;
-    duplicate_probability = params.dup;
-  }
+let label kind pid =
+  { Engine.l_kind = kind; l_pid = pid; l_src = -1; l_info = "" }
 
-(* The Damani-Garg variants run through System (they share lib/core). *)
-let run_damani params ~hold ~monitor =
-  let oracle = if params.with_oracle then Some (Oracle.create ~n:params.n) else None in
+let build ?sim ~protocol ~seed ~net ~pattern ~trace ~check ~oracle schedule =
+  let name = Registry.name protocol in
+  let module P = (val Option.value sim ~default:(Registry.entry protocol).sim) in
+  if oracle then Result.iter_error invalid_arg (Registry.ground_truth protocol);
+  let n = net.Network.n in
+  (* The sanitizer is a trace sink, so checking forces a live recorder
+     even when the caller did not ask for tracing. *)
+  let monitor =
+    if check then Some (Check.Monitor.create ~rules:P.check_rules ()) else None
+  in
+  let trace = if check && trace == Trace.null then Trace.create () else trace in
+  Option.iter (fun m -> Trace.attach trace (Check.Monitor.sink m)) monitor;
+  let oracle = if oracle then Some (Oracle.create ~n) else None in
   let tracer = Option.map Oracle.tracer oracle in
-  let config = { Types.default_config with Types.hold_undeliverable = hold } in
-  let app = Traffic.app ~n:params.n params.pattern in
-  let registry = Metrics.registry () in
-  let sys =
-    System.create ~seed:params.seed ~net_config:(net_config params) ~config
-      ?tracer ~trace:params.trace ~registry ~n:params.n ~app ()
-  in
-  let schedule = Schedule.make ~injections:(injections params) ~faults:params.faults in
-  Schedule.apply schedule
-    ~inject:(fun ~at ~pid msg -> System.inject_at sys ~at ~pid msg)
-    ~crash:(fun ~at ~pid -> System.fail_at sys ~at ~pid)
-    ~partition:(fun ~at ~groups -> System.partition_at sys ~at ~groups)
-    ~heal:(fun ~at -> System.heal_at sys ~at);
-  System.run sys;
-  (* Online sanitizer cross-check against the ground-truth timeline:
-     the monitor reconstructed failure/rollback counts from the event
-     stream alone; the oracle observed the real states (OPT014). *)
-  (match (monitor, oracle) with
-  | Some m, Some o ->
-      Check.Monitor.cross_check m ~n:params.n ~failures:(Oracle.failures o)
-        ~rollbacks_of:(Oracle.rollbacks_of o)
-  | _ -> ());
-  let engine = System.engine sys in
-  let dumps = List.map snd (System.counters sys) in
-  let history_records =
-    Array.fold_left
-      (fun acc p -> acc + Process.history_record_count p)
-      0 (System.processes sys)
-  in
-  {
-    r_protocol = Registry.name params.protocol;
-    r_params = params;
-    r_counters = merge_counters ([ ("history_records", history_records) ] :: dumps);
-    r_net = Counters.to_list (Network.stats (System.network sys));
-    r_digests =
-      Array.to_list
-        (Array.map (fun p -> Traffic.digest (Process.state p)) (System.processes sys));
-    r_events = Engine.events_fired engine;
-    r_virtual_end = Engine.now engine;
-    r_oracle_stats = Option.map Oracle.status_counts oracle;
-    r_violations =
-      (match oracle with
-      | None -> []
-      | Some o ->
-          List.map
-            (fun v -> v.Oracle.check ^ ": " ^ v.Oracle.detail)
-            (Oracle.check o));
-    r_check = [];
-    r_registry = registry;
-  }
-
-(* Generic driver for the baselines, through their shared sim surface. *)
-let run_baseline params ~name sim =
-  let module P = (val sim : Protocol.SIM) in
-  let engine = Engine.create ~seed:params.seed () in
-  Engine.set_tracer engine params.trace;
-  let net = Network.create engine (net_config params) in
+  let engine = Engine.create ~seed () in
+  Engine.set_tracer engine trace;
+  let network = Network.create engine net in
   let registry = Metrics.registry () in
   let uid = ref 0 in
   let next_uid () = incr uid; !uid in
-  let app = Traffic.app ~n:params.n params.pattern in
+  let app = Traffic.app ~n pattern in
+  let scope process = Metrics.Scope.create ~registry ~protocol:name ~process () in
   let procs =
-    Array.init params.n (fun id ->
-        let metrics =
-          Metrics.Scope.create ~registry ~protocol:name ~process:id ()
-        in
-        P.create ~engine ~net ~app ~id ~n:params.n ~metrics ~next_uid ())
+    Array.init n (fun id ->
+        P.create ~engine ~net:network ~app ~id ~n ?tracer ~metrics:(scope id)
+          ~next_uid ())
   in
-  let schedule = Schedule.make ~injections:(injections params) ~faults:params.faults in
+  let at time kind pid f =
+    ignore (Engine.schedule_at engine ~label:(label kind pid) time f)
+  in
   Schedule.apply schedule
-    ~inject:(fun ~at ~pid msg ->
-      ignore (Engine.schedule_at engine at (fun () -> P.inject procs.(pid) msg)))
-    ~crash:(fun ~at ~pid ->
-      ignore (Engine.schedule_at engine at (fun () -> P.fail procs.(pid))))
-    ~partition:(fun ~at:_ ~groups:_ -> ())
-    ~heal:(fun ~at:_ -> ());
-  Engine.run engine;
+    ~inject:(fun ~at:t ~pid msg ->
+      at t "inject" pid (fun () -> P.inject procs.(pid) msg))
+    ~crash:(fun ~at:t ~pid -> at t "crash" pid (fun () -> P.fail procs.(pid)))
+    ~partition:(fun ~at:t ~groups ->
+      at t "net" (-1) (fun () -> Network.partition network groups))
+    ~heal:(fun ~at:t -> at t "net" (-1) (fun () -> Network.heal network));
+  let sanitizer m =
+    (* The monitor reconstructed failure/rollback counts from the event
+       stream alone; the oracle observed the real states (OPT014). *)
+    Option.iter
+      (fun o ->
+        Check.Monitor.cross_check m ~n ~failures:(Oracle.failures o)
+          ~rollbacks_of:(Oracle.rollbacks_of o))
+      oracle;
+    let violations = Check.Monitor.finish m in
+    Metrics.Scope.incr ~by:(List.length violations) (scope (-1))
+      "check.violations";
+    violations
+  in
+  let ground_truth o =
+    List.map (fun v -> v.Oracle.check ^ ": " ^ v.Oracle.detail) (Oracle.check o)
+  in
   {
-    r_protocol = name;
-    r_params = params;
-    r_counters = Metrics.totals registry;
-    r_net = [];
-    r_digests = Array.to_list (Array.map (fun p -> Traffic.digest (P.state p)) procs);
-    r_events = Engine.events_fired engine;
-    r_virtual_end = Engine.now engine;
-    r_oracle_stats = None;
-    r_violations = [];
-    r_check = [];
-    r_registry = registry;
+    engine;
+    registry;
+    oracle;
+    alive = (fun pid -> P.alive procs.(pid));
+    crash = (fun pid -> P.fail procs.(pid));
+    digest = (fun pid -> Traffic.digest (P.state procs.(pid)));
+    incarnation = (fun pid -> P.incarnation procs.(pid));
+    counters =
+      (fun () -> merge_counters (Array.to_list (Array.map P.counters procs)));
+    net_stats = (fun () -> Counters.to_list (Network.stats network));
+    verdict =
+      (fun () ->
+        ( Option.fold ~none:[] ~some:sanitizer monitor,
+          Option.fold ~none:[] ~some:ground_truth oracle ));
   }
 
-let dispatch params ~monitor =
-  let e = Registry.entry params.protocol in
-  match e.Registry.sim with
-  | Registry.System { hold } -> run_damani params ~hold ~monitor
-  | Registry.Sim sim -> run_baseline params ~name:e.Registry.name sim
-
 let run params =
-  match params.check with
-  | No_check -> dispatch params ~monitor:None
-  | Check | Check_strict ->
-      (* The sanitizer is a trace sink, so checking forces a live
-         recorder even when the caller did not ask for tracing. *)
-      let trace =
-        if params.trace == Trace.null then Trace.create () else params.trace
-      in
-      let monitor =
-        Check.Monitor.create ~rules:(Registry.check_rules params.protocol) ()
-      in
-      Trace.attach trace (Check.Monitor.sink monitor);
-      let r = dispatch { params with trace } ~monitor:(Some monitor) in
-      let violations = Check.Monitor.finish monitor in
-      let scope =
-        Metrics.Scope.create ~registry:r.r_registry ~protocol:r.r_protocol
-          ~process:(-1) ()
-      in
-      Metrics.Scope.incr ~by:(List.length violations) scope "check.violations";
-      { r with r_check = violations }
+  let net =
+    {
+      (Network.default_config ~n:params.n) with
+      Network.ordering = params.ordering;
+      drop_probability = params.drop;
+      duplicate_probability = params.dup;
+    }
+  in
+  let injections =
+    Schedule.poisson_injections ~seed:(Int64.add params.seed 7919L)
+      ~n:params.n ~rate:params.rate ~duration:params.duration ~hops:params.hops
+  in
+  let s =
+    build ~protocol:params.protocol ~seed:params.seed ~net
+      ~pattern:params.pattern ~trace:params.trace
+      ~check:(params.check <> No_check) ~oracle:params.with_oracle
+      (Schedule.make ~injections ~faults:params.faults)
+  in
+  Engine.run s.engine;
+  let r_check, r_violations = s.verdict () in
+  {
+    r_protocol = Registry.name params.protocol;
+    r_params = params;
+    r_counters = s.counters ();
+    r_net = s.net_stats ();
+    r_digests = List.init params.n s.digest;
+    r_events = Engine.events_fired s.engine;
+    r_virtual_end = Engine.now s.engine;
+    r_oracle_stats = Option.map Oracle.status_counts s.oracle;
+    r_violations;
+    r_check;
+    r_registry = s.registry;
+  }
 
 let pp_report ppf r =
   Format.fprintf ppf "@[<v>protocol: %s@,events: %d  virtual end: %.1f@," r.r_protocol

@@ -1,9 +1,13 @@
 (** Experiment runner: one entry point that executes the same workload and
     fault schedule under any of the implemented recovery protocols and
     returns normalized metrics. The bench harness builds every table of
-    EXPERIMENTS.md out of these reports. *)
+    EXPERIMENTS.md out of these reports. {!build}, the one simulation
+    builder, also serves the model checker ([Mc.Model]). *)
 
+module Engine = Optimist_sim.Engine
 module Network = Optimist_net.Network
+module Oracle = Optimist_oracle.Oracle
+module Registry = Optimist_protocols.Registry
 module Metrics = Optimist_obs.Metrics
 module Trace = Optimist_obs.Trace
 module Check = Optimist_check.Check
@@ -18,7 +22,7 @@ type check_mode =
           that warnings should also fail the run *)
 
 type params = {
-  protocol : Optimist_protocols.Registry.id;
+  protocol : Registry.id;
   n : int;
   seed : int64;
   pattern : Traffic.pattern;
@@ -30,7 +34,9 @@ type params = {
   drop : float;  (** Data-message loss probability, in [0, 1] *)
   dup : float;  (** Data-message duplication probability, in [0, 1] *)
   with_oracle : bool;
-      (** attach the ground-truth oracle (Damani-garg variants only) *)
+      (** attach the ground-truth oracle; {!run} raises [Invalid_argument]
+          for a protocol that reports no ground truth
+          ({!Registry.ground_truth}) *)
   trace : Trace.t;
       (** structured-trace recorder installed on the engine; defaults to
           {!Trace.null} (no events, one boolean check per site) *)
@@ -64,5 +70,38 @@ val counter : report -> string -> int
 (** 0 when absent. *)
 
 val run : params -> report
+
+(** {2 The simulation builder} *)
+
+type sim = {
+  engine : Engine.t;
+  registry : Metrics.registry;  (** per-process scopes, as [r_registry] *)
+  oracle : Oracle.t option;
+  alive : int -> bool;
+  crash : int -> unit;  (** crash the process now *)
+  digest : int -> int;  (** the process's application digest *)
+  incarnation : int -> int option;
+  counters : unit -> (string * int) list;  (** summed over processes *)
+  net_stats : unit -> (string * int) list;
+  verdict : unit -> Check.violation list * string list;
+      (** once, at quiescence: as [r_check] and [r_violations] *)
+}
+(** One protocol instance on the simulator, not yet run. *)
+
+val build :
+  ?sim:(module Optimist_core.Protocol.SIM) ->
+  protocol:Registry.id ->
+  seed:int64 ->
+  net:Network.config ->
+  pattern:Traffic.pattern ->
+  trace:Trace.t ->
+  check:bool ->
+  oracle:bool ->
+  Schedule.t ->
+  sim
+(** The engine over [trace], the network, [net.n] processes of
+    [protocol] ([sim] replaces the registry's module) and every event of
+    the schedule, partitions included. [check] attaches the sanitizer as
+    {!run} does; [oracle] the oracle, as [with_oracle]. *)
 
 val pp_report : Format.formatter -> report -> unit

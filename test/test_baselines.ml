@@ -208,6 +208,32 @@ let test_dg_minimal_rollback_bound () =
   Alcotest.(check bool) "rollbacks bounded by failures*(n-1)" true
     (Runner.counter r "rollbacks" <= 3 * 3)
 
+(* --- every protocol meets the same partition: traffic across the cut is
+   held until the heal, then delivered, so nothing is lost --- *)
+
+let test_partition_all () =
+  let faults =
+    [
+      Schedule.Partition { at = 100.0; groups = [ [ 0; 1 ]; [ 2; 3 ] ] };
+      Schedule.Heal { at = 200.0 };
+    ]
+  in
+  List.iter
+    (fun protocol ->
+      let name = Registry.name protocol in
+      let r0 = run { base with Runner.protocol } in
+      let r = run { base with Runner.protocol; faults } in
+      (match List.assoc_opt "held.partition" r.Runner.r_net with
+      | Some held when held > 0 -> ()
+      | _ -> Alcotest.failf "%s: the partition held no traffic" name);
+      Alcotest.(check int) (name ^ ": a digest per process")
+        (List.length r0.Runner.r_digests)
+        (List.length r.Runner.r_digests);
+      Alcotest.(check int) (name ^ ": delivered as much as fault-free")
+        (Runner.counter r0 "delivered")
+        (Runner.counter r "delivered"))
+    Registry.all
+
 (* --- determinism of the runner itself --- *)
 
 let test_runner_deterministic () =
@@ -237,6 +263,8 @@ let suite =
     Alcotest.test_case "coordinated checkpointing costs" `Quick test_coordinated;
     Alcotest.test_case "damani-garg minimal rollback bound" `Quick
       test_dg_minimal_rollback_bound;
+    Alcotest.test_case "partition and heal: all protocols" `Quick
+      test_partition_all;
     Alcotest.test_case "runner determinism (all protocols)" `Quick
       test_runner_deterministic;
   ]
