@@ -264,6 +264,12 @@ let run_cmd =
       | Some `On -> Runner.Check
       | Some `Strict -> Runner.Check_strict
     in
+    if oracle then
+      Result.iter_error
+        (fun msg ->
+          Printf.eprintf "recsim run: %s\n" msg;
+          exit 2)
+        (Registry.ground_truth protocol);
     let report =
       with_recorder trace_file trace_format (fun trace ->
           Runner.run

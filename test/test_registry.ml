@@ -1,7 +1,8 @@
 (* Tests of the protocol registry: one name table (canonical names and
    aliases resolve, nothing collides), the live subset and its order,
    each protocol's sanitizer rules and channel assumption, and the CLI's
-   one-line refusal to run a simulation-only protocol live. *)
+   one-line refusals to run a simulation-only protocol live or to audit
+   a protocol that reports no ground truth. *)
 
 module Registry = Optimist_protocols.Registry
 module Worker = Optimist_live.Worker
@@ -94,37 +95,56 @@ let contains hay needle =
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   go 0
 
-let test_live_refuses_sim_only () =
-  let recsim =
+(* Run the CLI with [args]; its exit code and stderr lines. *)
+let recsim args =
+  let exe =
     Filename.concat
       (Filename.dirname Sys.executable_name)
       (Filename.concat ".." (Filename.concat "bin" "recsim.exe"))
   in
+  let err = Filename.temp_file "recsim" ".err" in
+  let code =
+    Sys.command
+      (Printf.sprintf "%s %s > /dev/null 2> %s" (Filename.quote exe) args
+         (Filename.quote err))
+  in
+  let lines = read_lines err in
+  Sys.remove err;
+  (code, lines)
+
+(* A one-line error naming every protocol in [names]. *)
+let check_names lines names =
+  match lines with
+  | [ line ] ->
+      List.iter
+        (fun name ->
+          Alcotest.(check bool) ("the error names " ^ name) true
+            (contains line name))
+        names
+  | _ -> Alcotest.failf "expected a one-line error, got %d lines" (List.length lines)
+
+let test_live_refuses_sim_only () =
   let out =
     Filename.concat
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "optreg-%d" (Unix.getpid ()))
   in
-  let err = Filename.temp_file "recsim" ".err" in
-  let code =
-    Sys.command
-      (Printf.sprintf "%s live run --protocol peterson-kearns --out %s 2> %s"
-         (Filename.quote recsim) (Filename.quote out) (Filename.quote err))
+  let code, lines =
+    recsim ("live run --protocol peterson-kearns --out " ^ Filename.quote out)
   in
-  let lines = read_lines err in
-  Sys.remove err;
   Alcotest.(check bool) "exits non-zero" true (code <> 0);
   Alcotest.(check bool) "nothing was run" false (Sys.file_exists out);
-  match lines with
-  | [ line ] ->
-      List.iter
-        (fun id ->
-          Alcotest.(check bool)
-            ("the error names " ^ Registry.name id)
-            true
-            (contains line (Registry.name id)))
-        Registry.live_protocols
-  | _ -> Alcotest.failf "expected a one-line error, got %d lines" (List.length lines)
+  check_names lines (List.map Registry.name Registry.live_protocols)
+
+let test_oracle_refuses_baseline () =
+  let code, lines =
+    recsim "run --protocol sender-based --oracle -n 3 --failures 1"
+  in
+  Alcotest.(check int) "exits 2" 2 code;
+  check_names lines
+    (List.filter_map
+       (fun (e : Registry.entry) -> if e.ground_truth then Some e.name else None)
+       Registry.entries)
 
 let suite =
   [
@@ -136,4 +156,6 @@ let suite =
       test_rules_and_ordering;
     Alcotest.test_case "live run refuses a sim-only protocol in one line"
       `Quick test_live_refuses_sim_only;
+    Alcotest.test_case "run --oracle refuses a baseline in one line" `Quick
+      test_oracle_refuses_baseline;
   ]
