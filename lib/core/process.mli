@@ -174,3 +174,10 @@ val counters : ('s, 'm) t -> (string * int) list
 
 val history_record_count : ('s, 'm) t -> int
 (** Current O(n·f) history footprint (Section 6.9(3)). *)
+
+val pp_checkpoint : Format.formatter -> ('s, 'm) checkpoint * int -> unit
+(** One line per checkpoint at a log position, independent of how the
+    checkpoint is represented: the position, the FTVC, the history records
+    of each process by version, the sorted delivered uids, the output
+    sequence number and the count of pending outputs. The application
+    state is not printed. *)
