@@ -22,8 +22,12 @@
     reverse replacement happens. Message records for the same version keep
     the maximum timestamp seen. We implement the prose semantics.
 
-    History values are mutable (they live in a process); [copy] snapshots
-    them into checkpoints. *)
+    History values are mutable (they live in a process) and updated in
+    place; [copy] snapshots them into checkpoints. Each process's records
+    are kept in version order and searched from the newest, which is
+    almost always the one a delivery asks for: a lookup costs a step or
+    two and allocates nothing, and [copy] costs one small array per
+    process. *)
 
 type kind = Token | Message
 
