@@ -133,20 +133,6 @@ let selected ?protocol r =
          | None -> true
          | Some p -> (S.labels s).protocol = p)
 
-let totals ?protocol r =
-  let acc = Hashtbl.create 32 in
-  List.iter
-    (fun s ->
-      List.iter
-        (fun (name, v) ->
-          match Hashtbl.find_opt acc name with
-          | Some cell -> cell := !cell + v
-          | None -> Hashtbl.add acc name (ref v))
-        (S.counters s))
-    (selected ?protocol r);
-  Hashtbl.fold (fun k v l -> (k, !v) :: l) acc []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
 let total ?protocol r name =
   List.fold_left
     (fun acc s -> acc + S.get s name)

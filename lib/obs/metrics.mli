@@ -5,7 +5,7 @@
     gauges, summaries and histograms — labelled with the protocol it
     runs and its process id. Scopes register themselves in a
     {!registry}, so a run can be interrogated both per-process
-    ([Scope.counters]) and in aggregate ({!totals}), which is what the
+    ([Scope.counters]) and in aggregate ({!total}), which is what the
     runner's reports and the bench tables consume.
 
     Counter names keep the seed repo's dotted convention
@@ -76,10 +76,6 @@ end
 
 val scopes : registry -> (labels * Scope.t) list
 (** In registration order. *)
-
-val totals : ?protocol:string -> registry -> (string * int) list
-(** Counter totals summed across every scope (optionally restricted to
-    one protocol label), sorted by name. *)
 
 val total : ?protocol:string -> registry -> string -> int
 

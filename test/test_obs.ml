@@ -174,16 +174,11 @@ let test_metrics_labels () =
   Metrics.Scope.incr a0 "delivered";
   Metrics.Scope.incr ~by:4 a1 "delivered";
   Metrics.Scope.incr b0 "delivered";
-  Metrics.Scope.incr b0 "rollbacks";
   Alcotest.(check int) "scope get" 4 (Metrics.Scope.get a1 "delivered");
   Alcotest.(check int) "absent name is zero" 0 (Metrics.Scope.get a0 "nope");
   Alcotest.(check int) "total over all scopes" 6 (Metrics.total reg "delivered");
   Alcotest.(check int) "total filtered by protocol" 5
     (Metrics.total ~protocol:"alpha" reg "delivered");
-  Alcotest.(check (list (pair string int)))
-    "totals of one protocol"
-    [ ("delivered", 1); ("rollbacks", 1) ]
-    (Metrics.totals ~protocol:"beta" reg);
   Alcotest.(check int) "three scopes registered" 3
     (List.length (Metrics.scopes reg));
   let l = Metrics.Scope.labels a1 in
