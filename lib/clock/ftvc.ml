@@ -20,6 +20,8 @@ let own t = t.v.(t.me)
 
 let entries t = Array.copy t.v
 
+let piggyback t = t.v
+
 let entry_compare a b =
   let c = compare a.ver b.ver in
   if c <> 0 then c else compare a.ts b.ts
@@ -56,10 +58,16 @@ let with_own t entry =
   v.(t.me) <- entry;
   { t with v }
 
+(* One pass over a copy, no closure: a received entry replaces the local
+   one only where it is strictly greater, which is [entry_max]'s choice. *)
 let deliver_entries t ~received =
-  if Array.length received <> Array.length t.v then
-    invalid_arg "Ftvc.deliver: size mismatch";
-  let v = Array.mapi (fun i e -> entry_max e received.(i)) t.v in
+  let n = Array.length t.v in
+  if Array.length received <> n then invalid_arg "Ftvc.deliver: size mismatch";
+  let v = Array.copy t.v in
+  for i = 0 to n - 1 do
+    let r = received.(i) and e = v.(i) in
+    if r.ver > e.ver || (r.ver = e.ver && r.ts > e.ts) then v.(i) <- r
+  done;
   let e = v.(t.me) in
   v.(t.me) <- { e with ts = e.ts + 1 };
   { t with v }

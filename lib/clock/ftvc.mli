@@ -18,7 +18,9 @@
 
     Values are immutable: every state of the simulated computation keeps its
     exact clock, which the oracle and the paper's lemma-level property tests
-    rely on.
+    rely on. No operation here mutates an entry array, neither its own nor
+    one passed in, so a clock's array can travel on the wire without a copy
+    ({!piggyback}); such wire clocks are read-only everywhere.
 
     Theorem 1 of the paper: for states that are neither lost nor orphan,
     [s → u  ⇔  lt s.clock u.clock]. *)
@@ -40,7 +42,9 @@ val deliver : t -> received:t -> t
     [Invalid_argument] on size mismatch. *)
 
 val deliver_entries : t -> received:entry array -> t
-(** Same, for a raw entry vector (as carried by a message). *)
+(** Same, for a raw entry vector (as carried by a message). [received] is
+    only read, and the result shares none of its array (it may share its
+    immutable entries). *)
 
 val join : t -> t -> t
 (** Entrywise max {e without} advancing anything: the pure lattice join.
@@ -100,6 +104,13 @@ val own : t -> entry
 
 val entries : t -> entry array
 (** Fresh copy of the underlying vector. *)
+
+val piggyback : t -> entry array
+(** The underlying vector itself, not a copy: the clock a message carries.
+    Read-only, like every wire clock: the array is shared with the clock
+    [t] (and with whatever else holds [t]), so writing to it would change
+    them too. Safe because no operation of this module mutates an array.
+    Use {!entries} for a vector of your own. *)
 
 (** {2 Orders} *)
 

@@ -50,10 +50,16 @@ type 'a t = {
   (* Traffic addressed to a down endpoint, waiting for it to come up. *)
   down_held : 'a envelope list array;
   stats : Counters.t;
+  (* Per-message counters, resolved once. *)
+  sent_data : Counters.counter;
+  sent_control : Counters.counter;
+  delivered_data : Counters.counter;
+  delivered_control : Counters.counter;
 }
 
 let create engine cfg =
   if cfg.n <= 0 then invalid_arg "Network.create: n must be positive";
+  let stats = Counters.create () in
   {
     engine;
     cfg;
@@ -64,7 +70,11 @@ let create engine cfg =
     down = Array.make cfg.n false;
     partition_held = [];
     down_held = Array.make cfg.n [];
-    stats = Counters.create ();
+    stats;
+    sent_data = Counters.counter stats "sent.data";
+    sent_control = Counters.counter stats "sent.control";
+    delivered_data = Counters.counter stats "delivered.data";
+    delivered_control = Counters.counter stats "delivered.control";
   }
 
 let config t = t.cfg
@@ -118,7 +128,10 @@ let deliver t env =
     t.down_held.(env.dst) <- env :: t.down_held.(env.dst)
   end
   else begin
-    Counters.incr t.stats (Printf.sprintf "delivered.%s" (traffic_label env.traffic));
+    Counters.bump
+      (match env.traffic with
+      | Data -> t.delivered_data
+      | Control -> t.delivered_control);
     match t.handlers.(env.dst) with
     | Some f -> f env
     | None ->
@@ -149,7 +162,8 @@ let schedule_delivery t env =
   ignore (Engine.schedule_at t.engine ~label arrival (fun () -> deliver t env))
 
 let send_envelope t env =
-  Counters.incr t.stats (Printf.sprintf "sent.%s" (traffic_label env.traffic));
+  Counters.bump
+    (match env.traffic with Data -> t.sent_data | Control -> t.sent_control);
   if not (reachable t env.src env.dst) then begin
     Counters.incr t.stats "held.partition";
     if trace_on t then

@@ -5,7 +5,7 @@ type labels = { protocol : string; process : int }
 module S = struct
   type t = {
     labels : labels;
-    counters : (string, int ref) Hashtbl.t;
+    counters : Stats.Counters.t;
     gauges : (string, float ref) Hashtbl.t;
     summaries : (string, Stats.Summary.t) Hashtbl.t;
     histograms : (string, Stats.Histogram.t) Hashtbl.t;
@@ -14,7 +14,7 @@ module S = struct
   let make labels =
     {
       labels;
-      counters = Hashtbl.create 16;
+      counters = Stats.Counters.create ();
       gauges = Hashtbl.create 4;
       summaries = Hashtbl.create 4;
       histograms = Hashtbl.create 4;
@@ -22,19 +22,21 @@ module S = struct
 
   let labels t = t.labels
 
-  let incr ?(by = 1) t name =
-    match Hashtbl.find_opt t.counters name with
-    | Some r -> r := !r + by
-    | None -> Hashtbl.add t.counters name (ref by)
+  let incr ?by t name = Stats.Counters.incr ?by t.counters name
 
-  let get t name =
-    match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
+  let get t name = Stats.Counters.get t.counters name
+
+  let counters t = Stats.Counters.to_list t.counters
+
+  type counter = Stats.Counters.counter
+
+  let counter t name = Stats.Counters.counter t.counters name
+
+  let bump = Stats.Counters.bump
 
   let sorted_bindings tbl read =
     Hashtbl.fold (fun k v acc -> (k, read v) :: acc) tbl []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-  let counters t = sorted_bindings t.counters ( ! )
 
   let set_gauge t name v =
     match Hashtbl.find_opt t.gauges name with

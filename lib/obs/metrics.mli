@@ -42,6 +42,19 @@ module Scope : sig
   val counters : t -> (string * int) list
   (** Sorted by name. *)
 
+  type counter
+  (** A handle on one named counter, for a per-message path: resolved
+      once (see {!counter}), then incremented without hashing the name. *)
+
+  val counter : t -> string -> counter
+  (** A handle on counter [name]. It registers its cell on its first
+      increment, so {!counters}, {!snapshot} and every report list
+      [name] only once it has been incremented. A handle and a by-name
+      {!incr} of the same name share one cell. *)
+
+  val bump : ?by:int -> counter -> unit
+  (** Same as [incr ?by scope name] for the handle's scope and name. *)
+
   (** {2 Gauges} — last-write-wins instantaneous values. *)
 
   val set_gauge : t -> string -> float -> unit

@@ -146,10 +146,31 @@ module Counters = struct
 
   let create () : t = Hashtbl.create 32
 
-  let incr ?(by = 1) t name =
+  let cell t name =
     match Hashtbl.find_opt t name with
+    | Some r -> r
+    | None ->
+        let r = ref 0 in
+        Hashtbl.add t name r;
+        r
+
+  let incr ?(by = 1) t name =
+    let r = cell t name in
+    r := !r + by
+
+  (* [slot] stays [None] until the first increment, so a handle alone
+     never makes its name appear in [to_list]. *)
+  type counter = { tbl : t; name : string; mutable slot : int ref option }
+
+  let counter tbl name = { tbl; name; slot = None }
+
+  let bump ?(by = 1) h =
+    match h.slot with
     | Some r -> r := !r + by
-    | None -> Hashtbl.add t name (ref by)
+    | None ->
+        let r = cell h.tbl h.name in
+        h.slot <- Some r;
+        r := !r + by
 
   let get t name = match Hashtbl.find_opt t name with Some r -> !r | None -> 0
 

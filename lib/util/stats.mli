@@ -75,6 +75,19 @@ module Counters : sig
   val create : unit -> t
   val incr : ?by:int -> t -> string -> unit
   val get : t -> string -> int
+
+  type counter
+  (** A handle on one named counter, for a hot path: the name is looked
+      up on the handle's first increment and never again. The handle and
+      a by-name {!incr} of the same name count in one cell. *)
+
+  val counter : t -> string -> counter
+  (** Registers nothing: the name appears in {!to_list} only once it has
+      been incremented, by the handle or by name. *)
+
+  val bump : ?by:int -> counter -> unit
+  (** Same as [incr ?by t name]. *)
+
   val to_list : t -> (string * int) list
   (** Sorted by name. *)
 
