@@ -72,6 +72,10 @@ let tracer t = t.tracer
 let set_tracer t tr = t.tracer <- tr
 
 let schedule_at t ?(daemon = false) ?(label = anon) at action =
+  (* [nan < clock] is false: without this check a NaN time would pass the
+     next one, sort first and set the clock to NaN. *)
+  if not (Float.is_finite at) then
+    invalid_arg (Printf.sprintf "Engine.schedule_at: time %g is not finite" at);
   if at < t.clock then
     invalid_arg
       (Printf.sprintf "Engine.schedule_at: %g is in the past (now %g)" at
@@ -84,6 +88,8 @@ let schedule_at t ?(daemon = false) ?(label = anon) at action =
   ev
 
 let schedule t ?daemon ?label ~delay action =
+  if not (Float.is_finite delay) then
+    invalid_arg (Printf.sprintf "Engine.schedule: delay %g is not finite" delay);
   if delay < 0.0 then invalid_arg "Engine.schedule: negative delay";
   schedule_at t ?daemon ?label (t.clock +. delay) action
 

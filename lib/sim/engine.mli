@@ -51,7 +51,8 @@ val set_tracer : t -> Optimist_obs.Trace.t -> unit
 val schedule :
   t -> ?daemon:bool -> ?label:label -> delay:time -> (unit -> unit) -> cancel
 (** [schedule t ~delay f] runs [f] at [now t +. delay]. [delay] must be
-    non-negative. Returns a cancellation handle.
+    finite and non-negative ([Invalid_argument] otherwise). Returns a
+    cancellation handle.
 
     A [daemon] event (default [false]) does not keep the simulation alive:
     [run] stops once only daemon events remain. Periodic self-rescheduling
@@ -64,7 +65,8 @@ val schedule :
 
 val schedule_at :
   t -> ?daemon:bool -> ?label:label -> time -> (unit -> unit) -> cancel
-(** Absolute-time variant; the time must not be in the past. *)
+(** Absolute-time variant; the time must be finite and not in the past
+    ([Invalid_argument] otherwise). *)
 
 val cancel : t -> cancel -> unit
 (** Revoke a pending event; no effect if it already fired or was

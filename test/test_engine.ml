@@ -72,6 +72,27 @@ let test_past_schedule_rejected () =
   in
   Alcotest.(check bool) "past rejected" true raised
 
+(* [nan < now] is false, so only an explicit check keeps a NaN time out
+   of the queue, where it would fire first and leave the clock at NaN. *)
+let test_non_finite_rejected () =
+  let e = Engine.create () in
+  let fired = ref [] in
+  ignore (Engine.schedule e ~delay:1.0 (fun () -> fired := 1 :: !fired));
+  let rejects what f =
+    let raised = try ignore (f ()); false with Invalid_argument _ -> true in
+    Alcotest.(check bool) what true raised
+  in
+  let nop () = () in
+  rejects "nan delay" (fun () -> Engine.schedule e ~delay:Float.nan nop);
+  rejects "infinite delay" (fun () -> Engine.schedule e ~delay:Float.infinity nop);
+  rejects "-infinite delay" (fun () ->
+      Engine.schedule e ~delay:Float.neg_infinity nop);
+  rejects "nan time" (fun () -> Engine.schedule_at e Float.nan nop);
+  rejects "infinite time" (fun () -> Engine.schedule_at e Float.infinity nop);
+  Engine.run ~until:10.0 e;
+  Alcotest.(check (list int)) "only the finite event fired" [ 1 ] !fired;
+  Alcotest.(check (float 0.0)) "clock is finite" 10.0 (Engine.now e)
+
 let test_daemon_does_not_block_exit () =
   let e = Engine.create () in
   let daemon_fires = ref 0 in
@@ -171,6 +192,8 @@ let suite =
       test_negative_delay_rejected;
     Alcotest.test_case "scheduling in the past rejected" `Quick
       test_past_schedule_rejected;
+    Alcotest.test_case "non-finite times rejected" `Quick
+      test_non_finite_rejected;
     Alcotest.test_case "daemons do not block exit" `Quick
       test_daemon_does_not_block_exit;
     Alcotest.test_case "until horizon" `Quick test_until_horizon;
