@@ -37,9 +37,14 @@ let schedule t ~delay action =
   let at = now t +. Float.max delay 0.0 in
   t.seq <- t.seq + 1;
   let tm = { t_at = at; t_seq = t.seq; t_run = action } in
+  (* Lexicographic on (t_at, t_seq) without building tuples for
+     polymorphic compare; the same order, NaN included (every comparison
+     with NaN is false under both). *)
   let rec ins = function
     | [] -> [ tm ]
-    | x :: _ as l when (tm.t_at, tm.t_seq) < (x.t_at, x.t_seq) -> tm :: l
+    | x :: _ as l
+      when tm.t_at < x.t_at || (tm.t_at = x.t_at && tm.t_seq < x.t_seq) ->
+        tm :: l
     | x :: rest -> x :: ins rest
   in
   t.timers <- ins t.timers

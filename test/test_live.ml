@@ -41,6 +41,20 @@ let test_loop_timers_in_order () =
   Alcotest.(check (list int)) "fired by due time" [ 1; 2; 3 ]
     (List.rev !fired)
 
+(* A base one hour ahead pins [now] at 0 (it is clamped non-decreasing),
+   so every zero-delay timer is due at the same instant and only the
+   schedule order can separate them. *)
+let test_loop_ties_in_schedule_order () =
+  let loop = Loop.create ~base:(Unix.gettimeofday () +. 3600.0) () in
+  let fired = ref [] in
+  let at i () = fired := i :: !fired in
+  Loop.schedule loop ~delay:0.5 (at 9);
+  List.iter (fun i -> Loop.schedule loop ~delay:0.0 (at i)) [ 1; 2; 3 ];
+  Loop.schedule loop ~delay:(-1.0) (at 4);
+  Loop.run_once loop ~max_wait:0.0;
+  Alcotest.(check (list int)) "due ties fire in schedule order" [ 1; 2; 3; 4 ]
+    (List.rev !fired)
+
 let test_loop_now_monotone () =
   let loop = Loop.create ~base:(Unix.gettimeofday ()) () in
   let prev = ref (Loop.now loop) in
@@ -523,6 +537,8 @@ let suite =
   [
     Alcotest.test_case "loop: timers fire in order" `Quick
       test_loop_timers_in_order;
+    Alcotest.test_case "loop: due ties fire in schedule order" `Quick
+      test_loop_ties_in_schedule_order;
     Alcotest.test_case "loop: clock is monotone" `Quick test_loop_now_monotone;
     Alcotest.test_case "store: round-trip" `Quick test_store_roundtrip;
     Alcotest.test_case "store: torn tail tolerated" `Quick test_store_torn_tail;
