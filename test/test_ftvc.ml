@@ -205,6 +205,96 @@ let prop_failure_free_equals_mattern =
       done;
       !ok)
 
+(* The merge and the send as they were written before the per-message
+   cuts, kept as the model: a closure per entry through [entry_max], and
+   a send that copies the clock for the piggyback and again to bump it. *)
+module Model = struct
+  let bump me v =
+    let v = Array.copy v in
+    v.(me) <- { (v.(me)) with Ftvc.ts = v.(me).Ftvc.ts + 1 };
+    v
+
+  let deliver me v received =
+    bump me (Array.mapi (fun i e -> Ftvc.entry_max e received.(i)) v)
+
+  (* (piggyback, next clock) *)
+  let send me v = (Array.copy v, bump me v)
+end
+
+type op = Send | Deliver of Ftvc.entry array | Redeliver of int | Restart | Rollback
+
+let pp_op ppf = function
+  | Send -> Format.fprintf ppf "send"
+  | Deliver r ->
+      Format.fprintf ppf "deliver %a" Ftvc.pp (Ftvc.of_entries ~me:0 r)
+  | Redeliver k -> Format.fprintf ppf "redeliver sent #%d" k
+  | Restart -> Format.fprintf ppf "restart"
+  | Rollback -> Format.fprintf ppf "rollback"
+
+let arb_run =
+  let gen =
+    QCheck.Gen.(
+      1 -- 5 >>= fun n ->
+      0 -- (n - 1) >>= fun me ->
+      array_repeat n entry_gen >>= fun init ->
+      let op =
+        frequency
+          [
+            (3, return Send);
+            (3, array_repeat n entry_gen >|= fun r -> Deliver r);
+            (2, small_nat >|= fun k -> Redeliver k);
+            (1, return Restart);
+            (1, return Rollback);
+          ]
+      in
+      list_size (0 -- 30) op >|= fun ops -> (me, init, ops))
+  in
+  QCheck.make gen ~print:(fun (me, init, ops) ->
+      Format.asprintf "me=%d init=%a@ ops=[%a]" me Ftvc.pp
+        (Ftvc.of_entries ~me init)
+        (Format.pp_print_list ~pp_sep:Format.pp_print_space pp_op)
+        ops)
+
+(* Every step of the one-copy send and the loop merge agrees with the
+   model, and no array a send shipped or a delivery read ever changes
+   afterwards, including a shipped clock delivered back to its sender. *)
+let prop_matches_model =
+  QCheck.Test.make ~name:"one-copy send and loop merge match the model"
+    ~count:500 arb_run (fun (me, init, ops) ->
+      let c = ref (Ftvc.of_entries ~me init) and m = ref (Array.copy init) in
+      let shipped = ref [] and read = ref [] in
+      let ok = ref true in
+      let check () = ok := !ok && Ftvc.entries !c = !m in
+      let deliver r =
+        read := (r, Array.copy r) :: !read;
+        c := Ftvc.deliver_entries !c ~received:r;
+        m := Model.deliver me !m r
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | Send ->
+              let wire = Ftvc.piggyback !c in
+              c := Ftvc.sent !c;
+              let wire', next = Model.send me !m in
+              m := next;
+              ok := !ok && wire = wire';
+              shipped := (wire, wire') :: !shipped
+          | Deliver r -> deliver r
+          | Redeliver k -> (
+              match List.nth_opt !shipped k with
+              | Some (wire, _) -> deliver wire
+              | None -> ())
+          | Restart ->
+              c := Ftvc.restart !c;
+              m := Ftvc.entries !c
+          | Rollback ->
+              c := Ftvc.rolled_back !c;
+              m := Ftvc.entries !c);
+          check ())
+        ops;
+      !ok && List.for_all (fun (a, b) -> a = b) (!shipped @ !read))
+
 let test_size_words () =
   Alcotest.(check int) "2 words per process" 10
     (Ftvc.size_words (Ftvc.create ~n:5 ~me:0))
@@ -235,4 +325,5 @@ let suite =
         prop_deliver_dominates;
         prop_lemma1_own_version;
         prop_failure_free_equals_mattern;
+        prop_matches_model;
       ]

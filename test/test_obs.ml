@@ -230,6 +230,33 @@ let test_scope_snapshot () =
   let names = List.map fst snap in
   Alcotest.(check (list string)) "name-sorted" (List.sort compare names) names
 
+(* A handle and a by-name [incr] count in one cell, and a handle that was
+   never bumped registers nothing: no zero row in counters or snapshot. *)
+let test_counter_handles () =
+  let reg = Metrics.registry () in
+  let s = Metrics.Scope.create ~registry:reg ~protocol:"dg" ~process:0 () in
+  let sent = Metrics.Scope.counter s "sent" in
+  let idle = Metrics.Scope.counter s "idle" in
+  Alcotest.(check (list (pair string int))) "nothing before a bump" []
+    (Metrics.Scope.counters s);
+  Metrics.Scope.incr s "sent";
+  Metrics.Scope.bump sent;
+  Metrics.Scope.bump ~by:3 sent;
+  Metrics.Scope.incr s "sent";
+  let sent' = Metrics.Scope.counter s "sent" in
+  Metrics.Scope.bump sent';
+  Alcotest.(check (list (pair string int))) "one shared cell" [ ("sent", 7) ]
+    (Metrics.Scope.counters s);
+  Alcotest.(check int) "get sees handle bumps" 7 (Metrics.Scope.get s "sent");
+  Alcotest.(check int) "total sees handle bumps" 7 (Metrics.total reg "sent");
+  Alcotest.(check int) "an idle handle reads zero" 0 (Metrics.Scope.get s "idle");
+  Alcotest.(check (list string)) "snapshot lists only what was bumped"
+    [ "sent" ] (List.map fst (Metrics.Scope.snapshot s));
+  Metrics.Scope.bump idle;
+  Alcotest.(check (list (pair string int))) "registered on first bump"
+    [ ("idle", 1); ("sent", 7) ]
+    (Metrics.Scope.counters s)
+
 (* --- recovery profiler --- *)
 
 (* Resolve fixtures next to the test binary so both `dune runtest`
@@ -346,6 +373,8 @@ let suite =
     Alcotest.test_case "metrics label aggregation" `Quick test_metrics_labels;
     Alcotest.test_case "metrics instruments" `Quick test_metrics_instruments;
     Alcotest.test_case "scope snapshot" `Quick test_scope_snapshot;
+    Alcotest.test_case "counter handles share by-name cells" `Quick
+      test_counter_handles;
     Alcotest.test_case "recovery report golden" `Quick test_report_golden;
     Alcotest.test_case "recovery report errors" `Quick test_report_errors;
     Alcotest.test_case "golden trace determinism" `Quick

@@ -199,6 +199,68 @@ let test_inject_while_down () =
   System.run sys;
   Alcotest.(check (list string)) "stimulus lost" [] (received sys 0)
 
+(* --- a sent clock is shared with the sender, and read-only --- *)
+
+(* The wire message carries the sender's pre-send clock array itself, not
+   a copy; it must keep its value while the sender goes on sending and
+   delivering. A capturing transport keeps every message P0 sends. *)
+let test_sent_clock_unchanged () =
+  let module Transport = Optimist_core.Transport in
+  let engine = Engine.create () in
+  let sent = ref [] and handler = ref (fun _ -> ()) in
+  let net =
+    {
+      Transport.send = (fun ~lane:_ ~src:_ ~dst:_ w -> sent := w :: !sent);
+      broadcast = (fun ~lane:_ ~src:_ _ -> ());
+      set_handler = (fun _ f -> handler := f);
+      set_down = (fun _ -> ());
+      set_up = (fun ~drop_held_data:_ _ -> ());
+    }
+  in
+  (* A delivered [k] makes P0 send [k] messages to P1. *)
+  let app =
+    {
+      Types.init = (fun _ -> 0);
+      on_message =
+        (fun ~me:_ ~src:_ count k -> (count + 1, List.init k (fun _ -> (1, 0))));
+    }
+  in
+  let uid = ref 0 in
+  let p =
+    Process.create_rt ~rt:(Transport.of_engine engine) ~net ~app ~id:0 ~n:2
+      ~next_uid:(fun () -> incr uid; !uid) ()
+  in
+  let clock_of = function
+    | Types.Wire_app m -> m.Types.clock
+    | Types.Wire_token _ | Types.Wire_frontier _ -> Alcotest.fail "not an app message"
+  in
+  Process.inject p 1;
+  let first = match !sent with [ w ] -> clock_of w | _ -> Alcotest.fail "one send" in
+  let before = Array.copy first in
+  let pairs a = Array.to_list a |> List.map (fun e -> (e.Ftvc.ver, e.Ftvc.ts)) in
+  Alcotest.(check (list (pair int int)))
+    "carries the pre-send clock" [ (0, 2); (0, 0) ] (pairs first);
+  Alcotest.(check (list (pair int int)))
+    "the sender moved past it" [ (0, 3); (0, 0) ]
+    (pairs (Ftvc.entries (Process.clock p)));
+  Process.inject p 3;
+  !handler
+    (Types.Wire_app
+       {
+         Types.data = 2;
+         clock = [| { Ftvc.ver = 0; ts = 0 }; { Ftvc.ver = 0; ts = 9 } |];
+         frontier = [||];
+         sender = 1;
+         uid = 1000;
+       });
+  Alcotest.(check int) "six sends" 6 (List.length !sent);
+  Alcotest.(check bool) "first message's clock unchanged" true (first = before);
+  let clocks = List.rev_map clock_of !sent in
+  Alcotest.(check bool) "each send has its own array" true
+    (List.for_all
+       (fun c -> List.length (List.filter (fun c' -> c' == c) clocks) = 1)
+       clocks)
+
 let suite =
   [
     Alcotest.test_case "hold for missing token" `Quick test_hold_for_missing_token;
@@ -213,4 +275,6 @@ let suite =
       test_unlogged_tokens_forget;
     Alcotest.test_case "injections while down dropped" `Quick
       test_inject_while_down;
+    Alcotest.test_case "sent clock unchanged by later sends and deliveries"
+      `Quick test_sent_clock_unchanged;
   ]
