@@ -45,6 +45,9 @@ let env_src = -1
 type 'm app_msg = {
   data : 'm;
   clock : Ftvc.entry array;
+      (** read-only: the sender's pre-send clock array itself
+          ({!Ftvc.piggyback}), shared with the sender's clock, its trace
+          and the receiver's log; nothing may write to it *)
   frontier : Ftvc.entry array;
   sender : int;
   uid : int;
