@@ -101,11 +101,15 @@ let send t ~lane ~dst payload =
           let bytes = Marshal.to_bytes (Data_msg { src = t.me; payload }) [] in
           (* Sender-side jitter delays the actual write by a random amount,
              so two back-to-back sends can hit the wire (and the receiver)
-             out of order — the "reordered sockets" condition. *)
+             out of order — the "reordered sockets" condition. An empty
+             window draws nothing and writes in this call: send order is
+             wire order, so the lane is FIFO. *)
           let post () =
-            let delay = t.jitter_lo +. Prng.float t.rng t.jitter_span in
-            Loop.schedule t.loop ~delay (fun () ->
-                if not t.closed then write t ~dst bytes)
+            if t.jitter_span = 0.0 && t.jitter_lo = 0.0 then write t ~dst bytes
+            else
+              let delay = t.jitter_lo +. Prng.float t.rng t.jitter_span in
+              Loop.schedule t.loop ~delay (fun () ->
+                  if not t.closed then write t ~dst bytes)
           in
           post ();
           if t.faults.dup_rate > 0.0 && Prng.bernoulli t.rng t.faults.dup_rate
@@ -184,7 +188,7 @@ let create ?(jitter = (0.001, 0.02)) ?(retransmit_every = 0.1) ?(seq_base = 0)
       n;
       rng = Prng.create seed;
       jitter_lo;
-      jitter_span = Float.max (jitter_hi -. jitter_lo) 1e-9;
+      jitter_span = Float.max (jitter_hi -. jitter_lo) 0.0;
       faults;
       fabric = detached;
       handler = (fun _ -> ());

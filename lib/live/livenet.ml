@@ -50,10 +50,11 @@ let factory ~dir : Link.factory =
   let addrs = Array.init n (fun i -> Unix.ADDR_UNIX (sock_path dir i)) in
   let buf = Bytes.create 262144 in
   let closed = ref false in
-  (* Drain every datagram currently queued; the socket is non-blocking. *)
+  (* Drain every datagram currently queued; the socket is non-blocking.
+     The frame names its source, so the sender's address is not read. *)
   let rec pump () =
-    match Unix.recvfrom fd buf 0 (Bytes.length buf) [] with
-    | len, _ ->
+    match Unix.recv fd buf 0 (Bytes.length buf) [] with
+    | len ->
         port.Link.deliver buf 0 len;
         if not !closed then pump ()
     | exception

@@ -8,8 +8,13 @@ type t = {
   mutable last : float;
   mutable timers : timer list; (* sorted by (t_at, t_seq) *)
   mutable seq : int;
+  (* Each readiness set twice: the callbacks, and their fds as [select]
+     takes them, kept in step by the registration calls so a loop turn
+     builds no list. *)
   mutable fds : (Unix.file_descr * (unit -> unit)) list;
+  mutable rlist : Unix.file_descr list;
   mutable wfds : (Unix.file_descr * (unit -> unit)) list;
+  mutable wlist : Unix.file_descr list;
   mutable stopped : bool;
   tracer : Trace.t;
 }
@@ -21,7 +26,9 @@ let create ?(tracer = Trace.null) ~base () =
     timers = [];
     seq = 0;
     fds = [];
+    rlist = [];
     wfds = [];
+    wlist = [];
     stopped = false;
     tracer;
   }
@@ -49,14 +56,21 @@ let schedule t ~delay action =
   in
   t.timers <- ins t.timers
 
-let on_readable t fd cb = t.fds <- (fd, cb) :: t.fds
+let on_readable t fd cb =
+  t.fds <- (fd, cb) :: t.fds;
+  t.rlist <- fd :: t.rlist
 
-let on_writable t fd cb = t.wfds <- (fd, cb) :: t.wfds
+let on_writable t fd cb =
+  t.wfds <- (fd, cb) :: t.wfds;
+  t.wlist <- fd :: t.wlist
 
-let remove_writable t fd = t.wfds <- List.filter (fun (f, _) -> f <> fd) t.wfds
+let remove_writable t fd =
+  t.wfds <- List.filter (fun (f, _) -> f != fd) t.wfds;
+  t.wlist <- List.filter (fun f -> f != fd) t.wlist
 
 let remove_fd t fd =
-  t.fds <- List.filter (fun (f, _) -> f <> fd) t.fds;
+  t.fds <- List.filter (fun (f, _) -> f != fd) t.fds;
+  t.rlist <- List.filter (fun f -> f != fd) t.rlist;
   remove_writable t fd
 
 let stop t = t.stopped <- true
@@ -85,18 +99,19 @@ let fire_due t =
   in
   fire ()
 
+(* A callback is looked up when its fd is served, not when select
+   returns, so one removed by an earlier callback of this turn never
+   runs. A [file_descr] is an int on Unix, so [==] is fd equality. *)
 let select_once t ~timeout =
-  match
-    Unix.select (List.map fst t.fds) (List.map fst t.wfds) [] timeout
-  with
+  match Unix.select t.rlist t.wlist [] timeout with
   | ready, writable, _ ->
       List.iter
         (fun fd ->
-          match List.assoc_opt fd t.fds with Some cb -> cb () | None -> ())
+          match List.assq_opt fd t.fds with Some cb -> cb () | None -> ())
         ready;
       List.iter
         (fun fd ->
-          match List.assoc_opt fd t.wfds with Some cb -> cb () | None -> ())
+          match List.assq_opt fd t.wfds with Some cb -> cb () | None -> ())
         writable
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
 

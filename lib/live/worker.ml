@@ -264,10 +264,11 @@ let main cfg =
     | Ok impl -> impl
     | Error msg -> invalid_arg msg
   in
-  (* A FIFO-assuming protocol runs jitter-free: zero jitter keeps the
-     datagram mesh order-preserving enough for the assumption to hold in
-     practice (kernel AF_UNIX queues are FIFO per socket pair). Everyone
-     else gets the link's default jitter. *)
+  (* A FIFO-assuming protocol runs jitter-free: with zero jitter the Link
+     writes each Data frame in its send call, so frames reach the fabric
+     in send order, and both fabrics keep that order per peer pair
+     (AF_UNIX datagram queues, TCP streams). Everyone else gets the
+     link's default jitter. *)
   let jitter =
     if Registry.fifo cfg.plan.protocol then Some (0.0, 0.0) else None
   in

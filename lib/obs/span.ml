@@ -26,6 +26,9 @@ let finish ctx sp =
       };
   dur
 
+(* Untraced, nobody sees the span: run [f] without reading the clock. *)
 let with_ ctx name f =
-  let sp = start ctx name in
-  Fun.protect ~finally:(fun () -> ignore (finish ctx sp)) f
+  if not (Trace.enabled ctx.tracer) then f ()
+  else
+    let sp = start ctx name in
+    Fun.protect ~finally:(fun () -> ignore (finish ctx sp)) f

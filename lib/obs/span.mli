@@ -35,4 +35,6 @@ val finish : ctx -> span -> float
 
 val with_ : ctx -> string -> (unit -> 'a) -> 'a
 (** [with_ ctx name f] wraps [f ()] in a span; the span is finished even
-    when [f] raises. *)
+    when [f] raises. When the tracer is disabled the span costs nothing:
+    [f ()] runs directly, the clock is not read and nothing is
+    allocated. *)

@@ -64,6 +64,60 @@ let test_loop_now_monotone () =
     prev := t
   done
 
+(* Two pipes with a byte in each, so both read ends stay readable and
+   both write ends writable until closed. *)
+let with_pipes f =
+  let p1 = Unix.pipe () and p2 = Unix.pipe () in
+  List.iter
+    (fun (_, w) -> ignore (Unix.write_substring w "x" 0 1))
+    [ p1; p2 ];
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun (r, w) -> Unix.close r; Unix.close w) [ p1; p2 ])
+    (fun () -> f p1 p2)
+
+(* Count the runs of each callback over one loop turn. *)
+let turn loop counts =
+  Array.fill counts 0 (Array.length counts) 0;
+  Loop.run_once loop ~max_wait:0.0;
+  Array.to_list counts
+
+let test_loop_readable_fds () =
+  with_pipes (fun (r1, _) (r2, _) ->
+      let loop = Loop.create ~base:(Unix.gettimeofday ()) () in
+      let counts = Array.make 2 0 in
+      let bump i () = counts.(i) <- counts.(i) + 1 in
+      Loop.on_readable loop r1 (bump 0);
+      Loop.on_readable loop r2 (bump 1);
+      Alcotest.(check (list int)) "both served" [ 1; 1 ] (turn loop counts);
+      Loop.remove_fd loop r1;
+      Alcotest.(check (list int)) "removed fd never runs" [ 0; 1 ]
+        (turn loop counts);
+      (* A callback that removes the other fd, which is ready in the same
+         turn: the removed one must not run. *)
+      Loop.on_readable loop r1 (fun () ->
+          bump 0 ();
+          Loop.remove_fd loop r2);
+      let c = turn loop counts in
+      Alcotest.(check int) "remover ran" 1 (List.nth c 0);
+      Alcotest.(check (list int)) "removed mid-turn, not run after" [ 1; 0 ]
+        (turn loop counts))
+
+let test_loop_writable_fds () =
+  with_pipes (fun (_, w1) (_, w2) ->
+      let loop = Loop.create ~base:(Unix.gettimeofday ()) () in
+      let counts = Array.make 2 0 in
+      let bump i () = counts.(i) <- counts.(i) + 1 in
+      Loop.on_writable loop w1 (bump 0);
+      Loop.on_writable loop w2 (bump 1);
+      Alcotest.(check (list int)) "both served" [ 1; 1 ] (turn loop counts);
+      Loop.remove_writable loop w1;
+      Alcotest.(check (list int)) "removed fd never runs" [ 0; 1 ]
+        (turn loop counts);
+      Loop.remove_fd loop w2;
+      Alcotest.(check (list int)) "remove_fd drops the writable side too"
+        [ 0; 0 ] (turn loop counts))
+
 (* --- store --- *)
 
 let test_store_roundtrip () =
@@ -540,6 +594,10 @@ let suite =
     Alcotest.test_case "loop: due ties fire in schedule order" `Quick
       test_loop_ties_in_schedule_order;
     Alcotest.test_case "loop: clock is monotone" `Quick test_loop_now_monotone;
+    Alcotest.test_case "loop: readable fds served until removed" `Quick
+      test_loop_readable_fds;
+    Alcotest.test_case "loop: writable fds served until removed" `Quick
+      test_loop_writable_fds;
     Alcotest.test_case "store: round-trip" `Quick test_store_roundtrip;
     Alcotest.test_case "store: torn tail tolerated" `Quick test_store_torn_tail;
   ]

@@ -5,6 +5,7 @@
 module Trace = Optimist_obs.Trace
 module Metrics = Optimist_obs.Metrics
 module Report = Optimist_obs.Report
+module Span = Optimist_obs.Span
 module Ftvc = Optimist_clock.Ftvc
 module Runner = Optimist_runner.Runner
 module Schedule = Optimist_workload.Schedule
@@ -309,6 +310,59 @@ let test_report_errors () =
   | Ok _ -> Alcotest.fail "missing file accepted"
   | Error _ -> ()
 
+(* --- spans --- *)
+
+exception Boom
+
+(* A span context over [tr] whose clock counts its reads and ticks 1 ms
+   per read. *)
+let span_ctx tr =
+  let reads = ref 0 in
+  let now () =
+    incr reads;
+    float_of_int !reads *. 0.001
+  in
+  (Span.create ~tracer:tr ~now ~pid:3 (), reads)
+
+let test_span_disabled () =
+  (* A tracer that recorded into [ring] and was closed: disabled, so
+     anything it emitted would have to be a bug. *)
+  let ring = Trace.Ring.create () and tr = Trace.create () in
+  Trace.attach tr (Trace.Ring.sink ring);
+  Trace.close tr;
+  let ctx, reads = span_ctx tr in
+  let runs = ref 0 in
+  let v = Span.with_ ctx "handle" (fun () -> incr runs; 42) in
+  Alcotest.(check int) "result" 42 v;
+  Alcotest.(check int) "f ran once" 1 !runs;
+  Alcotest.(check int) "clock never read" 0 !reads;
+  Alcotest.check_raises "exception propagates" Boom (fun () ->
+      Span.with_ ctx "handle" (fun () -> raise Boom));
+  Alcotest.(check int) "still no clock read" 0 !reads;
+  Alcotest.(check int) "nothing emitted" 0 (Trace.Ring.length ring)
+
+let test_span_enabled () =
+  let ring = Trace.Ring.create () and tr = Trace.create () in
+  Trace.attach tr (Trace.Ring.sink ring);
+  let ctx, _ = span_ctx tr in
+  let runs = ref 0 in
+  Span.with_ ctx "handle" (fun () -> incr runs);
+  Alcotest.(check int) "f ran once" 1 !runs;
+  Alcotest.check_raises "exception propagates" Boom (fun () ->
+      Span.with_ ctx "store" (fun () -> raise Boom));
+  let spans =
+    List.map
+      (fun e ->
+        match e.Trace.kind with
+        | Trace.Span { name; dur } -> (e.Trace.pid, name, dur >= 0.0)
+        | _ -> Alcotest.fail "not a span")
+      (Trace.Ring.to_list ring)
+  in
+  Alcotest.(check (list (triple int string bool)))
+    "one span per call, the raising one too"
+    [ (3, "handle", true); (3, "store", true) ]
+    spans
+
 (* --- golden-trace determinism --- *)
 
 (* The recsim acceptance scenario: damani-garg, 4 processes, 2 crashes in
@@ -375,6 +429,9 @@ let suite =
     Alcotest.test_case "scope snapshot" `Quick test_scope_snapshot;
     Alcotest.test_case "counter handles share by-name cells" `Quick
       test_counter_handles;
+    Alcotest.test_case "span: disabled runs f alone" `Quick test_span_disabled;
+    Alcotest.test_case "span: enabled emits one span per call" `Quick
+      test_span_enabled;
     Alcotest.test_case "recovery report golden" `Quick test_report_golden;
     Alcotest.test_case "recovery report errors" `Quick test_report_errors;
     Alcotest.test_case "golden trace determinism" `Quick
