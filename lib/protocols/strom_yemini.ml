@@ -56,6 +56,8 @@ type ('s, 'm) t = {
   checkpoints : ('s, 'm) checkpoint Checkpoint_store.t;
   mutable announcements : announcement list; (* stable, like D-G tokens *)
   metrics : Metrics.Scope.t;
+  c_sent : Metrics.Scope.counter;
+  c_piggyback_words : Metrics.Scope.counter;
 }
 
 let alive t = t.alive
@@ -67,7 +69,7 @@ let counters t = Metrics.Scope.counters t.metrics
 let tr_on t = Trace.enabled (t.rt.Transport.tracer ())
 
 let tr_emit ?clock t kind =
-  let clock = match clock with Some c -> c | None -> Ftvc.entries t.clock in
+  let clock = match clock with Some c -> c | None -> Ftvc.piggyback t.clock in
   Trace.emit
     (t.rt.Transport.tracer ())
     {
@@ -126,11 +128,13 @@ let send_app t dst data =
   if t.replaying then t.clock <- Ftvc.sent t.clock
   else begin
     let uid = t.next_uid () in
-    Metrics.Scope.incr t.metrics "sent";
-    Metrics.Scope.incr ~by:(Ftvc.size_words t.clock) t.metrics "piggyback_words";
+    Metrics.Scope.bump t.c_sent;
+    Metrics.Scope.bump t.c_piggyback_words ~by:(Ftvc.size_words t.clock);
     if tr_on t then tr_emit t (Trace.Send { uid; dst });
+    (* The pre-send clock's own array, shared read-only with the message:
+       [Ftvc.sent] below copies before it bumps. *)
     t.net.Transport.send ~lane:Transport.Data ~src:t.pid ~dst
-      (W_app { data; clock = Ftvc.entries t.clock; sender = t.pid; uid });
+      (W_app { data; clock = Ftvc.piggyback t.clock; sender = t.pid; uid });
     t.clock <- Ftvc.sent t.clock
   end
 
@@ -371,6 +375,8 @@ let create_rt ~rt ~net ~app ~id:pid ~n ?(config = default_config) ?metrics
       checkpoints;
       announcements;
       metrics;
+      c_sent = Metrics.Scope.counter metrics "sent";
+      c_piggyback_words = Metrics.Scope.counter metrics "piggyback_words";
     }
   in
   net.Transport.set_handler pid (fun w -> handle_wire t w);
