@@ -7,7 +7,8 @@
       otherwise its write is delayed by a seeded jitter, so back-to-back
       sends genuinely reorder, and it may be written twice
       ([dup_rate]). A write to a dead or unborn peer fails — a real
-      in-flight loss.
+      in-flight loss. With zero jitter the frame is written in the send
+      call, so send order is wire order: the lane is FIFO.
     - {b Control} — reliable. Frames carry a sequence number, are kept
       until acknowledged, and are retransmitted periodically; receivers
       ack every copy and deliver the first ([(src, seq)] dedup). A
@@ -90,7 +91,9 @@ val create :
   'a t
 (** Attach the fabric and start the retransmit timer (default every
     0.1 s). [jitter] is the (min, max) Data-lane send delay in seconds
-    (default 1–20 ms). [seed] seeds the fault and jitter draws;
+    (default 1–20 ms). [(0.0, 0.0)] means no delay: each Data frame is
+    written in its send call, with no timer and no jitter draw, so the
+    lane is FIFO. [seed] seeds the fault and jitter draws;
     [seq_base] is the first control sequence number minus one. *)
 
 val incarnation :
