@@ -19,16 +19,20 @@ type runtime = {
   tracer : unit -> Trace.t;
 }
 
-let net_lane = function Data -> Network.Data | Control -> Network.Control
+(* [Some Network.Data] and [Some Network.Control] are constants, so
+   passing a lane's traffic to the optional argument allocates nothing. *)
+let net_lane = function
+  | Data -> Some Network.Data
+  | Control -> Some Network.Control
 
 let of_network net =
   {
     send =
       (fun ~lane ~src ~dst payload ->
-        Network.send net ~traffic:(net_lane lane) ~src ~dst payload);
+        Network.send net ?traffic:(net_lane lane) ~src ~dst payload);
     broadcast =
       (fun ~lane ~src payload ->
-        Network.broadcast net ~traffic:(net_lane lane) ~src payload);
+        Network.broadcast net ?traffic:(net_lane lane) ~src payload);
     set_handler =
       (fun id f -> Network.set_handler net id (fun env -> f env.Network.payload));
     set_down = (fun id -> Network.set_down net id);
