@@ -95,7 +95,17 @@ let leq a b =
   let rec loop i = i >= n || (entry_leq a.v.(i) b.v.(i) && loop (i + 1)) in
   Array.length b.v = n && loop 0
 
-let equal a b = a.v = b.v
+(* Entry by entry: [a.v = b.v] would be the polymorphic structural
+   compare. *)
+let equal a b =
+  let n = Array.length a.v in
+  let rec loop i =
+    i >= n
+    ||
+    let x = a.v.(i) and y = b.v.(i) in
+    x.ver = y.ver && x.ts = y.ts && loop (i + 1)
+  in
+  Array.length b.v = n && loop 0
 
 let lt a b = leq a b && not (equal a b)
 

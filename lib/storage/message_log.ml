@@ -8,30 +8,25 @@ type 'entry t = {
   mutable volatile_len : int;
   mutable floor : int; (* first readable index, raised by GC *)
   counters : Counters.t;
+  appends : Counters.counter; (* resolved once: every delivery appends *)
 }
 
-let create () =
-  {
-    stable = [||];
-    stable_len = 0;
-    volatile = [];
-    volatile_len = 0;
-    floor = 0;
-    counters = Counters.create ();
-  }
-
 let of_stable entries =
+  let counters = Counters.create () in
   {
     stable = Array.copy entries;
     stable_len = Array.length entries;
     volatile = [];
     volatile_len = 0;
     floor = 0;
-    counters = Counters.create ();
+    counters;
+    appends = Counters.counter counters "appends";
   }
 
+let create () = of_stable [||]
+
 let append t entry =
-  Counters.incr t.counters "appends";
+  Counters.bump t.appends;
   t.volatile <- entry :: t.volatile;
   t.volatile_len <- t.volatile_len + 1
 
