@@ -4,86 +4,107 @@ type kind = Token | Message
 
 type record = { kind : kind; ver : int; ts : int }
 
-(* One array per peer process, holding its records in increasing version
-   order. The paper stores "a record for every known version of all
-   processes"; versions are few (O(f)) and a lookup almost always asks for
-   the newest one, so a scan from the high end finds it in a step or two,
-   with no hashing. A record is replaced in place; a version not seen
-   before goes into a new array one longer. Versions arrive from peers, so
-   they are compared, never used as indices or sizes. *)
-type t = { me : int; peers : record array array }
+(* One int array per peer process, holding its records as pairs
+   [(ver, ts * 2 + token bit)] in increasing version order. The paper
+   stores "a record for every known version of all processes"; versions
+   are few (O(f)) and a lookup almost always asks for the newest one, so a
+   scan from the high end finds it in a step or two, with no hashing. A
+   record is updated in place, so noting a newer timestamp allocates
+   nothing; a version not seen before goes into a new array one pair
+   longer. Versions arrive from peers, so they are compared, never used as
+   indices or sizes.
+
+   Every comparison below is on ints the signatures name: an unannotated
+   one can compile to the polymorphic compare, which costs a C call per
+   record. *)
+type t = { me : int; peers : int array array }
+
+let token_bit = 1
+
+let word ~(ts : int) ~(token : bool) =
+  (ts lsl 1) lor if token then token_bit else 0
+
+let is_token (w : int) = w land token_bit <> 0
+
+let ts_of (w : int) = w asr 1
 
 let create ~n ~me =
   if n <= 0 || me < 0 || me >= n then invalid_arg "History.create";
   let peers =
     Array.init n (fun j ->
-        [| { kind = Message; ver = 0; ts = (if j = me then 1 else 0) } |])
+        [| 0; word ~ts:(if j = me then 1 else 0) ~token:false |])
   in
   { me; peers }
 
+(* The peer arrays hold ints only, so this is a deep copy. *)
 let copy t = { t with peers = Array.map Array.copy t.peers }
 
 let n t = Array.length t.peers
 
 let me t = t.me
 
-(* Index of the last record of [recs.(0..i)] whose version is at most
-   [ver], or -1. Top level, so the hot paths below allocate neither a
-   closure nor an option. *)
-let rec last_at_most recs ver i =
-  if i < 0 || recs.(i).ver <= ver then i else last_at_most recs ver (i - 1)
+(* Index of the last record of [recs]'s records [0..i] whose version is
+   at most [ver], or -1. Top level, so the hot paths below allocate
+   neither a closure nor an option. *)
+let rec last_at_most (recs : int array) (ver : int) (i : int) : int =
+  if i < 0 || recs.(2 * i) <= ver then i else last_at_most recs ver (i - 1)
 
 (* Index of the record for [ver] in [recs], or -1. *)
-let index recs ver =
-  let i = last_at_most recs ver (Array.length recs - 1) in
-  if i >= 0 && recs.(i).ver = ver then i else -1
+let index (recs : int array) (ver : int) : int =
+  let i = last_at_most recs ver ((Array.length recs / 2) - 1) in
+  if i >= 0 && recs.(2 * i) = ver then i else -1
+
+let record_at (recs : int array) i =
+  let w = recs.((2 * i) + 1) in
+  { kind = (if is_token w then Token else Message); ver = recs.(2 * i); ts = ts_of w }
 
 let find t ~pid ~ver =
   let recs = t.peers.(pid) in
   let i = index recs ver in
-  if i < 0 then None else Some recs.(i)
+  if i < 0 then None else Some (record_at recs i)
 
-(* Install [r] for its version: in place if the version is known,
-   otherwise in a new array one longer, keeping the version order. *)
-let set t ~pid r =
+(* Install [(ver, w)]: in place if the version is known, otherwise in a
+   new array one pair longer, keeping the version order. *)
+let set t ~pid ~(ver : int) (w : int) =
   let recs = t.peers.(pid) in
   let len = Array.length recs in
-  let i = last_at_most recs r.ver (len - 1) in
-  if i >= 0 && recs.(i).ver = r.ver then recs.(i) <- r
+  let i = last_at_most recs ver ((len / 2) - 1) in
+  if i >= 0 && recs.(2 * i) = ver then recs.((2 * i) + 1) <- w
   else begin
-    let grown = Array.make (len + 1) r in
-    Array.blit recs 0 grown 0 (i + 1);
-    Array.blit recs (i + 1) grown (i + 2) (len - i - 1);
+    let at = 2 * (i + 1) in
+    let grown = Array.make (len + 2) 0 in
+    Array.blit recs 0 grown 0 at;
+    grown.(at) <- ver;
+    grown.(at + 1) <- w;
+    Array.blit recs at grown (at + 2) (len - at);
     t.peers.(pid) <- grown
   end
 
 let note_message_entry t ~pid (e : Ftvc.entry) =
   let recs = t.peers.(pid) in
   let i = index recs e.ver in
-  if i < 0 then set t ~pid { kind = Message; ver = e.ver; ts = e.ts }
+  if i < 0 then set t ~pid ~ver:e.ver (word ~ts:e.ts ~token:false)
   else
-    match recs.(i) with
-    | { kind = Token; _ } ->
-        (* Token records are authoritative; the message either passed the
-           obsolete test (its ts is within the surviving prefix) or was
-           discarded before reaching here. Either way it adds nothing. *)
-        ()
-    | { kind = Message; ts; _ } ->
-        if ts < e.ts then recs.(i) <- { kind = Message; ver = e.ver; ts = e.ts }
+    let w = recs.((2 * i) + 1) in
+    (* Token records are authoritative; the message either passed the
+       obsolete test (its ts is within the surviving prefix) or was
+       discarded before reaching here. Either way it adds nothing. *)
+    if (not (is_token w)) && ts_of w < e.ts then
+      recs.((2 * i) + 1) <- word ~ts:e.ts ~token:false
 
 let note_clock t ~sender_clock =
   for pid = 0 to Array.length sender_clock - 1 do
     note_message_entry t ~pid sender_clock.(pid)
   done
 
-let note_token t ~pid ~ver ~ts = set t ~pid { kind = Token; ver; ts }
+let note_token t ~pid ~ver ~ts = set t ~pid ~ver (word ~ts ~token:true)
 
 let has_token t ~pid ~ver =
   let recs = t.peers.(pid) in
   let i = index recs ver in
-  i >= 0 && match recs.(i) with { kind = Token; _ } -> true | _ -> false
+  i >= 0 && is_token recs.((2 * i) + 1)
 
-let rec tokens_from t ~pid ~ver l =
+let rec tokens_from t ~pid ~(ver : int) (l : int) =
   l >= ver || (has_token t ~pid ~ver:l && tokens_from t ~pid ~ver (l + 1))
 
 let tokens_complete_below t ~pid ~ver = tokens_from t ~pid ~ver 0
@@ -96,27 +117,33 @@ let rec obsolete_from t (clock : Ftvc.entry array) j =
   let recs = t.peers.(j) in
   let i = index recs e.ver in
   (i >= 0
-  && match recs.(i) with { kind = Token; ts; _ } -> ts < e.ts | _ -> false)
+  &&
+  let w = recs.((2 * i) + 1) in
+  is_token w && ts_of w < e.ts)
   || obsolete_from t clock (j + 1)
 
 let message_obsolete t ~clock = obsolete_from t clock 0
 
-let orphaned_by_token t ~pid ~ver ~ts =
+let orphaned_by_token t ~pid ~ver ~(ts : int) =
   let recs = t.peers.(pid) in
   let i = index recs ver in
   i >= 0
-  && match recs.(i) with { kind = Message; ts = ts'; _ } -> ts < ts' | _ -> false
+  &&
+  let w = recs.((2 * i) + 1) in
+  (not (is_token w)) && ts < ts_of w
 
 let survives_token t ~pid ~ver ~ts = not (orphaned_by_token t ~pid ~ver ~ts)
 
 let max_known_version t ~pid =
   let recs = t.peers.(pid) in
-  max 0 recs.(Array.length recs - 1).ver
+  Int.max 0 recs.(Array.length recs - 2)
 
 let record_count t =
-  Array.fold_left (fun acc recs -> acc + Array.length recs) 0 t.peers
+  Array.fold_left (fun acc recs -> acc + (Array.length recs / 2)) 0 t.peers
 
-let records t ~pid = Array.to_list t.peers.(pid)
+let records t ~pid =
+  let recs = t.peers.(pid) in
+  List.init (Array.length recs / 2) (record_at recs)
 
 let pp ppf t =
   let pp_record ppf r =

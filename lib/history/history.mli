@@ -24,10 +24,13 @@
 
     History values are mutable (they live in a process) and updated in
     place; [copy] snapshots them into checkpoints. Each process's records
-    are kept in version order and searched from the newest, which is
+    are kept as one flat [int] array of [(version, timestamp·2 + token
+    bit)] pairs in version order, searched from the newest, which is
     almost always the one a delivery asks for: a lookup costs a step or
-    two and allocates nothing, and [copy] costs one small array per
-    process. *)
+    two, and noting a newer timestamp rewrites an int, so neither
+    allocates. [copy] costs one small array per process and shares
+    nothing. {!record} values are not stored: {!find} and {!records}
+    build them on demand. *)
 
 type kind = Token | Message
 
