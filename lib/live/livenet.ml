@@ -39,6 +39,13 @@ let wait_for_peers ~dir ~n ~timeout =
   in
   wait ()
 
+(* One receive buffer for every endpoint of this OS process, allocated on
+   first use: a 256 KiB block is a major-heap allocation, which every
+   set-up and every crash rebuild would otherwise pay again. Sharing is
+   safe because [pump] decodes each datagram before its next [recv] and
+   the loop runs one callback at a time, so no two receives interleave. *)
+let recv_buf = lazy (Bytes.create 262144)
+
 let factory ~dir : Link.factory =
  fun ~loop ~me ~n port ->
   (match check_dir ~dir ~n with Ok () -> () | Error e -> invalid_arg e);
@@ -48,8 +55,9 @@ let factory ~dir : Link.factory =
   Unix.bind fd (Unix.ADDR_UNIX path);
   Unix.set_nonblock fd;
   let addrs = Array.init n (fun i -> Unix.ADDR_UNIX (sock_path dir i)) in
-  let buf = Bytes.create 262144 in
+  let buf = Lazy.force recv_buf in
   let closed = ref false in
+  let busy = ref 0 in
   (* Drain every datagram currently queued; the socket is non-blocking.
      The frame names its source, so the sender's address is not read. *)
   let rec pump () =
@@ -63,21 +71,24 @@ let factory ~dir : Link.factory =
         ()
   in
   Loop.on_readable loop fd pump;
+  (* A full queue (the peer is alive but behind) and a dead or unborn
+     peer both lose the frame; [send_busy] counts the first kind, so
+     [send_errors - send_busy] is the loss to dead peers. *)
   let write ~dst bytes =
     match Unix.sendto fd bytes 0 (Bytes.length bytes) [] addrs.(dst) with
     | _ -> true
     | exception
-        Unix.Unix_error
-          ( ( Unix.ECONNREFUSED | Unix.ENOENT | Unix.EAGAIN | Unix.EWOULDBLOCK
-            | Unix.ENOBUFS ),
-            _,
-            _ ) ->
+        Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ENOBUFS), _, _)
+      ->
+        incr busy;
+        false
+    | exception Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ENOENT), _, _) ->
         false
   in
   {
     Link.write;
     ready = (fun ~timeout -> wait_for_peers ~dir ~n ~timeout);
-    stats = (fun () -> []);
+    stats = (fun () -> [ ("send_busy", !busy) ]);
     snapshot = (fun () -> []);
     close =
       (fun () ->

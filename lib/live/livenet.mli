@@ -25,7 +25,12 @@ val create :
 
 val factory : dir:string -> Link.factory
 (** The UDS mesh under [dir]. Its [ready] waits for every peer's socket
-    file to exist. Raises [Invalid_argument] when {!check_dir} fails. *)
+    file to exist. Its [stats] report [send_busy]: failed writes to a
+    live peer whose receive queue was full ([EAGAIN], [EWOULDBLOCK],
+    [ENOBUFS]). {!Link}'s [send_errors] counts every failed write, so
+    [send_errors - send_busy] is the frames lost to dead or unborn peers.
+    Every endpoint of an OS process shares one receive buffer. Raises
+    [Invalid_argument] when {!check_dir} fails. *)
 
 val sock_path : string -> int -> string
 (** [sock_path dir i] is worker [i]'s socket path. *)

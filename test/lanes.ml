@@ -201,11 +201,57 @@ let rejects_bad_frames m =
   Link.close a;
   Link.close b
 
-let cases fabric =
-  List.map
-    (fun (name, case) ->
+(* A live peer that never drains: once its receive queue is full, a
+   write fails as busy, which is congestion, not a loss to a dead peer.
+   The loop never runs, so nothing reads the queue. *)
+let burst_to_undrained_peer_is_busy m =
+  let loop = new_loop () in
+  let a = endpoint ~jitter:(0.0, 0.0) m loop ~me:0 ~seed:61L in
+  let b = endpoint m loop ~me:1 ~seed:62L in
+  connect a b;
+  let rec burst k =
+    if k < 10_000 && stat a "send_errors" = 0 then begin
+      send a Transport.Data (string_of_int k);
+      burst (k + 1)
+    end
+  in
+  burst 0;
+  Alcotest.(check bool) "a write failed busy" true (stat a "send_busy" > 0);
+  Alcotest.(check int) "every failed write was busy" (stat a "send_errors")
+    (stat a "send_busy");
+  Link.close a;
+  Link.close b
+
+(* A closed peer loses every frame, and none of them counts as busy. *)
+let closed_peer_is_not_busy m =
+  let loop = new_loop () in
+  let a = endpoint ~jitter:(0.0, 0.0) m loop ~me:0 ~seed:63L in
+  let b = endpoint m loop ~me:1 ~seed:64L in
+  connect a b;
+  Link.close b;
+  for i = 1 to 3 do
+    send a Transport.Data (string_of_int i)
+  done;
+  Alcotest.(check int) "every frame lost" 3 (stat a "send_errors");
+  Alcotest.(check int) "none busy" 0 (stat a "send_busy");
+  Link.close a
+
+let table fabric =
+  List.map (fun (name, case) ->
       Alcotest.test_case (fabric.label ^ ": " ^ name) `Quick (fun () ->
           case (fabric.fresh ())))
+
+(* Cases for a fabric whose [stats] tell a busy peer from a dead one
+   ([send_busy]); Livenet's datagrams do, the TCP mesh does not. *)
+let busy_cases fabric =
+  table fabric
+    [
+      ("a burst to a peer that never drains is busy", burst_to_undrained_peer_is_busy);
+      ("writes to a closed peer are not busy", closed_peer_is_not_busy);
+    ]
+
+let cases fabric =
+  table fabric
     [
       ("data and control delivery", data_and_control);
       ("control reaches a late peer", control_reaches_late_peer);

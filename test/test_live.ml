@@ -602,6 +602,7 @@ let suite =
     Alcotest.test_case "store: torn tail tolerated" `Quick test_store_torn_tail;
   ]
   @ Lanes.cases uds
+  @ Lanes.busy_cases uds
   @ [
     Alcotest.test_case "merge: global order and single header" `Quick
       test_merge_orders_and_deduplicates_headers;
