@@ -1,7 +1,6 @@
 (* Unit and property tests for optimist_util: PRNG, heap, stats, tables. *)
 
 module Prng = Optimist_util.Prng
-module Heap = Optimist_util.Heap
 module Stats = Optimist_util.Stats
 module Table = Optimist_util.Table
 
@@ -80,58 +79,6 @@ let prop_pick_member =
       let rng = Prng.create (Int64.of_int seed) in
       let picked = Prng.pick rng a in
       Array.exists (fun y -> y = picked) a)
-
-(* --- Heap --- *)
-
-let prop_heap_sorts =
-  QCheck.Test.make ~name:"heap pops in sorted order" ~count:300
-    QCheck.(list int)
-    (fun xs ->
-      let h = Heap.create ~cmp:compare () in
-      List.iter (fun x -> Heap.push h x ()) xs;
-      let rec drain acc =
-        match Heap.pop h with
-        | None -> List.rev acc
-        | Some (k, ()) -> drain (k :: acc)
-      in
-      drain [] = List.sort compare xs)
-
-let test_heap_peek () =
-  let h = Heap.create ~cmp:compare () in
-  Alcotest.(check bool) "empty" true (Heap.peek h = None);
-  Heap.push h 3 "c";
-  Heap.push h 1 "a";
-  Heap.push h 2 "b";
-  Alcotest.(check int) "length" 3 (Heap.length h);
-  (match Heap.peek h with
-  | Some (1, "a") -> ()
-  | _ -> Alcotest.fail "peek should be minimum");
-  Alcotest.(check int) "peek does not pop" 3 (Heap.length h)
-
-let test_heap_clear () =
-  let h = Heap.create ~cmp:compare () in
-  for i = 1 to 10 do
-    Heap.push h i ()
-  done;
-  Heap.clear h;
-  Alcotest.(check bool) "empty after clear" true (Heap.is_empty h)
-
-let test_heap_stability_independence () =
-  (* Equal keys may pop in any order, but all must come out. *)
-  let h = Heap.create ~cmp:(fun (a : int) b -> compare a b) () in
-  List.iter (fun v -> Heap.push h 1 v) [ "x"; "y"; "z" ];
-  let vs = ref [] in
-  let rec drain () =
-    match Heap.pop h with
-    | None -> ()
-    | Some (_, v) ->
-        vs := v :: !vs;
-        drain ()
-  in
-  drain ();
-  Alcotest.(check (list string))
-    "all values" [ "x"; "y"; "z" ]
-    (List.sort compare !vs)
 
 (* --- Stats --- *)
 
@@ -277,7 +224,7 @@ let test_table_bad_row () =
       Table.add_row t [ "a"; "b" ])
 
 let qsuite = List.map QCheck_alcotest.to_alcotest
-  [ prop_pick_member; prop_heap_sorts; prop_summary_mean_bounds ]
+  [ prop_pick_member; prop_summary_mean_bounds ]
 
 let suite =
   [
@@ -289,9 +236,6 @@ let suite =
     Alcotest.test_case "prng bernoulli extremes" `Quick test_prng_bernoulli_extremes;
     Alcotest.test_case "prng exponential mean" `Slow test_prng_exponential_mean;
     Alcotest.test_case "prng shuffle permutation" `Quick test_prng_shuffle_permutation;
-    Alcotest.test_case "heap peek" `Quick test_heap_peek;
-    Alcotest.test_case "heap clear" `Quick test_heap_clear;
-    Alcotest.test_case "heap equal keys" `Quick test_heap_stability_independence;
     Alcotest.test_case "summary known values" `Quick test_summary_known;
     Alcotest.test_case "summary empty" `Quick test_summary_empty;
     Alcotest.test_case "counters" `Quick test_counters;
