@@ -9,35 +9,68 @@ type t =
 
 (* --- printing --- *)
 
+(* The writers below define each scalar format once: [to_buffer] and the
+   trace encoder ([Trace.to_line]) both go through them. *)
+
+let escape_char buf c =
+  match c with
+  | '"' -> Buffer.add_string buf "\\\""
+  | '\\' -> Buffer.add_string buf "\\\\"
+  | '\n' -> Buffer.add_string buf "\\n"
+  | '\r' -> Buffer.add_string buf "\\r"
+  | '\t' -> Buffer.add_string buf "\\t"
+  | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+
+(* Runs of characters that need no escape are copied whole. *)
 let escape_to buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  let start = ref 0 in
+  for i = 0 to String.length s - 1 do
+    match String.unsafe_get s i with
+    | '"' | '\\' | '\000' .. '\031' as c ->
+        Buffer.add_substring buf s !start (i - !start);
+        escape_char buf c;
+        start := i + 1
+    | _ -> ()
+  done;
+  Buffer.add_substring buf s !start (String.length s - !start);
   Buffer.add_char buf '"'
+
+(* The digits of [n <= 0], most significant first; working on the
+   non-positive side keeps [min_int] in range. *)
+let rec add_nonpos_digits buf (n : int) =
+  if n <= -10 then add_nonpos_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 - (n mod 10)))
+
+let add_int buf (n : int) =
+  if n < 0 then begin
+    Buffer.add_char buf '-';
+    add_nonpos_digits buf n
+  end
+  else add_nonpos_digits buf (-n)
+
+external format_float : string -> float -> string = "caml_format_float"
 
 (* A fixed float format keeps the output deterministic; 12 significant
    digits round-trip every virtual time the engine produces (sums of
-   seeded-PRNG latencies). *)
-let float_to_string x =
+   seeded-PRNG latencies). Integral values below 1e15 print as ["%.1f"]
+   does, the rest as ["%.12g"]. The C formatter is the one [Printf] calls
+   for these two conversions, minus the format interpretation; an
+   integral value is its exact int's digits plus [".0"], except [-0.0]. *)
+let add_float buf x =
   if Float.is_integer x && Float.abs x < 1e15 then
-    Printf.sprintf "%.1f" x
-  else Printf.sprintf "%.12g" x
+    if x = 0.0 && Float.sign_bit x then Buffer.add_string buf "-0.0"
+    else begin
+      add_int buf (int_of_float x);
+      Buffer.add_string buf ".0"
+    end
+  else Buffer.add_string buf (format_float "%.12g" x)
 
 let rec to_buffer buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int n -> Buffer.add_string buf (string_of_int n)
-  | Float x -> Buffer.add_string buf (float_to_string x)
+  | Int n -> add_int buf n
+  | Float x -> add_float buf x
   | String s -> escape_to buf s
   | List xs ->
       Buffer.add_char buf '[';
@@ -174,40 +207,40 @@ let rec parse_value c =
   | Some 't' -> literal c "true" (Bool true)
   | Some 'f' -> literal c "false" (Bool false)
   | Some '"' -> String (parse_string c)
-  | Some '[' ->
+  | Some '[' -> (
       advance c;
       skip_ws c;
-      if peek c = Some ']' then begin advance c; List [] end
-      else begin
-        let rec items acc =
-          let v = parse_value c in
-          skip_ws c;
-          match peek c with
-          | Some ',' -> advance c; items (v :: acc)
-          | Some ']' -> advance c; List.rev (v :: acc)
-          | _ -> error c "expected ',' or ']'"
-        in
-        List (items [])
-      end
-  | Some '{' ->
+      match peek c with
+      | Some ']' -> advance c; List []
+      | _ ->
+          let rec items acc =
+            let v = parse_value c in
+            skip_ws c;
+            match peek c with
+            | Some ',' -> advance c; items (v :: acc)
+            | Some ']' -> advance c; List.rev (v :: acc)
+            | _ -> error c "expected ',' or ']'"
+          in
+          List (items []))
+  | Some '{' -> (
       advance c;
       skip_ws c;
-      if peek c = Some '}' then begin advance c; Obj [] end
-      else begin
-        let rec fields acc =
-          skip_ws c;
-          let k = parse_string c in
-          skip_ws c;
-          expect c ':';
-          let v = parse_value c in
-          skip_ws c;
-          match peek c with
-          | Some ',' -> advance c; fields ((k, v) :: acc)
-          | Some '}' -> advance c; List.rev ((k, v) :: acc)
-          | _ -> error c "expected ',' or '}'"
-        in
-        Obj (fields [])
-      end
+      match peek c with
+      | Some '}' -> advance c; Obj []
+      | _ ->
+          let rec fields acc =
+            skip_ws c;
+            let k = parse_string c in
+            skip_ws c;
+            expect c ':';
+            let v = parse_value c in
+            skip_ws c;
+            match peek c with
+            | Some ',' -> advance c; fields ((k, v) :: acc)
+            | Some '}' -> advance c; List.rev ((k, v) :: acc)
+            | _ -> error c "expected ',' or '}'"
+          in
+          Obj (fields []))
   | Some ('-' | '0' .. '9') -> parse_number c
   | Some ch -> error c (Printf.sprintf "unexpected %C" ch)
 

@@ -123,10 +123,10 @@ module Ring : sig
 end
 
 val jsonl_sink : (string -> unit) -> sink
-(** One JSON object per event, one event per line (each write ends in
-    ['\n']). The {!schema_header} line is written immediately when the
-    sink is created. Deterministic byte-for-byte for a fixed event
-    stream. *)
+(** One JSON object per event, one event per line: each event is one call
+    of the writer, with its {!to_line} and the ['\n'] together. The
+    {!schema_header} line is written immediately when the sink is created.
+    Deterministic byte-for-byte for a fixed event stream. *)
 
 val chrome_sink : (string -> unit) -> sink
 (** Chrome [trace_event] (catapult) JSON, loadable in [about://tracing]
@@ -170,7 +170,9 @@ val to_json : event -> Json.t
 val of_json : Json.t -> (event, string) result
 
 val to_line : event -> string
-(** [Json.to_string (to_json e)] — no trailing newline. *)
+(** [Json.to_string (to_json e)] — no trailing newline — written directly
+    from the event with {!Json}'s scalar writers, without building the
+    {!Json.t}. [to_json] stays the reference it is tested against. *)
 
 val of_line : string -> (event, string) result
 
