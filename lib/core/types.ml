@@ -65,9 +65,15 @@ type token = { origin : int; ver : int; ts : int }
 type 'm wire =
   | Wire_app of 'm app_msg
   | Wire_token of { token : token; restored : Ftvc.entry array option }
-  | Wire_frontier of { origin : int; frontier : Ftvc.entry array }
-      (** explicit frontier gossip, used to drain pending outputs when
-          application traffic alone would not spread logging progress *)
+  | Wire_frontier of { origin : int; frontier : Ftvc.entry array; flush : bool }
+      (** [origin]'s logged-frontier view. With [flush] it is a commit
+          request: a pending output at [origin] depends on the receiver's
+          unlogged state, so the receiver merges the view, flushes its log
+          at once and answers [origin] alone with its own view (sent on
+          the Data lane, like the request). Without [flush] it is an
+          answer or the flush timer's gossip, which drains pending outputs
+          when application traffic alone would not spread logging
+          progress and stands in for a lost request or a dead target. *)
 
 (** {2 Log entries}
 
