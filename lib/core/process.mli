@@ -77,7 +77,11 @@ val create :
     [on_output] receives application outputs (handler sends addressed to
     {!Types.output_dst}). With [config.commit_outputs] they are delivered
     only once the producing state can never be lost or rolled back
-    (Section 6.5); otherwise immediately (optimistically). *)
+    (Section 6.5); otherwise immediately (optimistically). A pending
+    output flushes the process's own log and sends one commit request to
+    each peer holding a dependency not yet known to be logged (at most one
+    outstanding per peer); the peer flushes and answers with its logged
+    frontier. *)
 
 val create_rt :
   rt:Transport.runtime ->
@@ -166,7 +170,7 @@ val metrics : ('s, 'm) t -> Metrics.Scope.t
 (** The process's metrics scope: counters ([delivered], [injected],
     [sent], [discarded_obsolete], [held], [released], [rollbacks],
     [restarts], [tokens_received], [replayed], [piggyback_words],
-    [log_truncated], [checkpoints], ...), the [held_messages] gauge and
+    [log_truncated], [checkpoints], [commit_requests], ...), the [held_messages] gauge and
     the [rollback_depth] histogram. *)
 
 val counters : ('s, 'm) t -> (string * int) list
