@@ -34,21 +34,20 @@ let ordering protocol =
 
 (* Does the restarting process resume without waiting for any peer?
    Structural property of each protocol (see the module documentation);
-   the P2 experiment measures the corresponding stall. *)
-let asynchronous_recovery = function
-  | Registry.Dg | Registry.Dg_nohold | Registry.Sy | Registry.Pessimist
-  | Registry.Cpo ->
-      "Yes"
+   the P2 experiment measures the corresponding stall. A variant answers
+   as its base. *)
+let asynchronous_recovery id =
+  match Registry.base id with
   | Registry.Sender | Registry.Pk | Registry.Koo -> "No"
+  | _ -> "Yes"
 
 (* How many failures the design claims to handle (the paper's Table 1
    "number of concurrent failures allowed" column). *)
-let designed_concurrent = function
+let designed_concurrent id =
+  match Registry.base id with
   | Registry.Pk -> "1"
   | Registry.Sender -> "n (single at a time)"
-  | Registry.Dg | Registry.Dg_nohold | Registry.Sy | Registry.Pessimist
-  | Registry.Cpo | Registry.Koo ->
-      "n"
+  | _ -> "n"
 
 let table1 () =
   section "T1: Table 1 — comparison with related work (measured)";

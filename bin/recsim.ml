@@ -1199,9 +1199,7 @@ let mc_explore_term =
       value
       & opt protocol_conv Registry.Dg
       & info [ "protocol"; "p" ] ~docv:"PROTOCOL"
-          ~doc:
-            "Protocol to model-check (ignored when $(b,--mutate) is given: \
-             the mutant picks its own protocol).")
+          ~doc:"Protocol, or variant, to model-check.")
   in
   let procs_arg =
     Arg.(
@@ -1257,11 +1255,11 @@ let mc_explore_term =
   let mutate_arg =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some protocol_conv) None
       & info [ "mutate" ] ~docv:"MUTANT"
           ~doc:
             "Check a deliberately broken protocol variant (see \
-             $(b,--list-mutants)).")
+             $(b,--list-mutants)); an alias for $(b,--protocol).")
   in
   let list_mutants_arg =
     Arg.(
@@ -1312,35 +1310,26 @@ let mc_explore_term =
       list_mutants max_schedules max_steps no_fingerprint keep_going cx_file =
     if list_mutants then begin
       List.iter
-        (fun (m : Mc_model.mutant) ->
-          Printf.printf "%-18s %-12s %s  %s\n" m.Mc_model.mu_name
-            (Registry.name m.Mc_model.mu_protocol) m.Mc_model.mu_rule
-            m.Mc_model.mu_doc)
-        Mc_model.mutants;
+        (fun (e : Registry.entry) ->
+          Option.iter
+            (fun (m : Registry.mutant) ->
+              Printf.printf "%-18s %-12s %s  %s\n" e.name
+                (Registry.name e.base) m.rule m.doc)
+            e.mutant)
+        Registry.entries;
       exit 0
     end;
     if naive && dpor then begin
       prerr_endline "recsim mc: --naive and --dpor are mutually exclusive";
       exit 2
     end;
-    let protocol, mutation =
-      match mutate with
-      | None -> (protocol, "")
-      | Some name -> (
-          match Mc_model.find_mutant name with
-          | Some m -> (m.Mc_model.mu_protocol, name)
-          | None ->
-              Printf.eprintf
-                "recsim mc: unknown mutant %S (see --list-mutants)\n" name;
-              exit 2)
-    in
-    let cfg =
-      { Mc_model.protocol; n = procs; msgs; hops; crashes; mutation }
-    in
-    (try Mc_model.validate cfg
-     with Invalid_argument msg ->
-       Printf.eprintf "recsim mc: %s\n" msg;
-       exit 2);
+    let protocol = Option.value mutate ~default:protocol in
+    let cfg = { Mc_model.protocol; n = procs; msgs; hops; crashes } in
+    Result.iter_error
+      (fun msg ->
+        Printf.eprintf "recsim mc: %s\n" msg;
+        exit 2)
+      (Mc_model.validate cfg);
     let opts =
       {
         Mc_explorer.depth;
@@ -1355,7 +1344,8 @@ let mc_explore_term =
     let outcome =
       Mc_explorer.explore ~build:(fun () -> Mc_model.build cfg) ~crashes opts
     in
-    Printf.printf "protocol: %s%s\n" (Registry.name protocol)
+    let protocol, mutation = Registry.protocol_and_mutation protocol in
+    Printf.printf "protocol: %s%s\n" protocol
       (if mutation = "" then "" else "  mutation: " ^ mutation);
     Printf.printf "mode: %s  depth: %d  procs: %d  msgs: %d  hops: %d  crashes: %d\n"
       (if naive then "naive" else "dpor")
@@ -1437,7 +1427,12 @@ let mc_replay_cmd =
             Printf.eprintf "recsim mc replay: %s\n" msg;
             exit 2
         | Ok cx ->
-            let run write = Mc_cx.replay ~write cx in
+            let run write =
+              try Mc_cx.replay ~write cx
+              with Optimist_mc.Strategy.Divergence msg ->
+                Printf.eprintf "recsim mc replay: %s\n" msg;
+                exit 2
+            in
             let violations =
               match out with
               | None -> run print_string

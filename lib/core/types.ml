@@ -97,11 +97,11 @@ type 'm log_entry =
 
 (** {2 Configuration} *)
 
-(** Deliberately broken protocol variants, used by the model checker's
-    self-test ([recsim mc --mutate]): each one disables exactly one
-    mechanism a sanitizer rule or the oracle guards, so an exploration
-    of the mutant must produce a counterexample. Never enable these
-    outside a checking context. *)
+(** Deliberately broken protocol variants, the registry's mutants: each
+    disables exactly one mechanism a sanitizer rule or the oracle
+    guards, so an exploration of the mutant must produce a
+    counterexample. [recsim run -p M] reaches them as well as
+    [recsim mc -p M]; such a run tests the checkers, nothing else. *)
 type mutation =
   | M_none
   | M_drop_piggyback

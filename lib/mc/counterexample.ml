@@ -29,12 +29,15 @@ let decision_to_json = function
       Json.Obj [ ("t", Json.String "crash"); ("pid", Json.Int pid) ]
 
 let to_json cx =
+  let protocol, mutation =
+    Registry.protocol_and_mutation cx.cx_cfg.Model.protocol
+  in
   Json.Obj
     [
       ("version", Json.Int 1);
       ("kind", Json.String "mc-counterexample");
-      ("protocol", Json.String (Registry.name cx.cx_cfg.Model.protocol));
-      ("mutation", Json.String cx.cx_cfg.Model.mutation);
+      ("protocol", Json.String protocol);
+      ("mutation", Json.String mutation);
       ("procs", Json.Int cx.cx_cfg.Model.n);
       ("msgs", Json.Int cx.cx_cfg.Model.msgs);
       ("hops", Json.Int cx.cx_cfg.Model.hops);
@@ -75,19 +78,29 @@ let rec decisions_of_json = function
       let* ds = decisions_of_json rest in
       Ok (d :: ds)
 
+(* The entry [Registry.protocol_and_mutation] names by this pair. *)
+let variant protocol mutation =
+  let name =
+    Option.fold ~none:protocol ~some:Registry.name (Registry.of_string protocol)
+  in
+  List.find_opt
+    (fun id -> Registry.protocol_and_mutation id = (name, mutation))
+    (Registry.all @ Registry.mutants)
+  |> Option.to_result
+       ~none:
+         (Printf.sprintf "counterexample: no protocol %S with mutation %S"
+            protocol mutation)
+
 let of_json j =
   let* protocol_name = field "protocol" Json.string_value j in
-  let* protocol =
-    match Registry.of_string protocol_name with
-    | Some p -> Ok p
-    | None ->
-        Error (Printf.sprintf "counterexample: unknown protocol %S" protocol_name)
-  in
   let* mutation = field "mutation" Json.string_value j in
+  let* protocol = variant protocol_name mutation in
   let* n = field "procs" Json.to_int j in
   let* msgs = field "msgs" Json.to_int j in
   let* hops = field "hops" Json.to_int j in
   let* crashes = field "crashes" Json.to_int j in
+  let cfg = { Model.protocol; n; msgs; hops; crashes } in
+  let* () = Model.validate cfg in
   let* decision_js = field "decisions" Json.list_value j in
   let* decisions = decisions_of_json decision_js in
   let violations =
@@ -95,12 +108,7 @@ let of_json j =
     | Some (Json.List l) -> List.filter_map Json.string_value l
     | _ -> []
   in
-  Ok
-    {
-      cx_cfg = { Model.protocol; n; msgs; hops; crashes; mutation };
-      cx_decisions = decisions;
-      cx_violations = violations;
-    }
+  Ok { cx_cfg = cfg; cx_decisions = decisions; cx_violations = violations }
 
 let of_string s =
   let* j = Json.of_string s in

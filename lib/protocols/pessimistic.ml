@@ -17,7 +17,7 @@ type config = {
   checkpoint_interval : float;
   restart_delay : float;
   ack_before_fsync : bool;
-      (** Mutant for the model checker's self-test: process and
+      (** The registry's [ack-before-fsync] mutant: process and
           acknowledge a delivery before its log entry reaches stable
           storage. Breaks the whole point of pessimism — a crash in the
           window silently loses a processed message, and checkpoints

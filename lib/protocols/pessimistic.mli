@@ -32,8 +32,8 @@ type config = {
   checkpoint_interval : float;
   restart_delay : float;
   ack_before_fsync : bool;
-      (** deliberately broken variant for [recsim mc --mutate]: run the
-          handler before the log entry is stable (OPT013 catches it) *)
+      (** the registry's [ack-before-fsync] mutant: run the handler
+          before the log entry is stable (OPT013 catches it) *)
 }
 
 val default_config : config

@@ -10,6 +10,7 @@ module Dpor = Optimist_mc.Dpor
 module Cx = Optimist_mc.Counterexample
 module Check = Optimist_check.Check
 module Runner = Optimist_runner.Runner
+module Registry = Optimist_protocols.Registry
 
 let explore ?(mode = Explorer.Dpor) ?(depth = 6) ?(fingerprint = false)
     ?(stop_on_violation = false) ?(log = true) cfg =
@@ -58,12 +59,11 @@ let test_equiv_clean () =
 let test_equiv_mutant () =
   dpor_vs_naive
     {
-      Model.default_cfg with
-      Model.n = 2;
+      Model.protocol = Registry.Eager_rollback;
+      n = 2;
       msgs = 1;
       hops = 1;
       crashes = 1;
-      mutation = "eager-rollback";
     }
     ~depth:6 ()
 
@@ -92,29 +92,24 @@ let test_reduction_and_clean_dg () =
 (* Each shipped mutant must be caught, its counterexample must replay,
    and the replayed JSONL trace must be rejected by the offline linter
    on exactly the mutant's rule. *)
-let test_mutant (m : Model.mutant) () =
-  let cfg =
-    {
-      Model.default_cfg with
-      Model.protocol = m.Model.mu_protocol;
-      mutation = m.Model.mu_name;
-    }
-  in
+let test_mutant id () =
+  let e = Registry.entry id in
+  let rule = (Option.get e.Registry.mutant).Registry.rule in
+  let cfg = { Model.default_cfg with Model.protocol = id } in
   let outcome =
     explore ~mode:Explorer.Dpor ~depth:8 ~fingerprint:true
       ~stop_on_violation:true ~log:false cfg
   in
   match outcome.Explorer.o_violation with
-  | None -> Alcotest.failf "mutant %s: no counterexample found" m.Model.mu_name
+  | None -> Alcotest.failf "mutant %s: no counterexample found" e.Registry.name
   | Some (decisions, violations) ->
       Alcotest.(check bool)
-        (Printf.sprintf "violations mention %s" m.Model.mu_rule)
+        (Printf.sprintf "violations mention %s" rule)
         true
         (List.exists
            (fun v ->
-             String.length v >= String.length m.Model.mu_rule
-             && String.sub v 0 (String.length m.Model.mu_rule)
-                = m.Model.mu_rule)
+             String.length v >= String.length rule
+             && String.sub v 0 (String.length rule) = rule)
            violations);
       let cx =
         { Cx.cx_cfg = cfg; cx_decisions = decisions;
@@ -136,11 +131,10 @@ let test_mutant (m : Model.mutant) () =
           | Error msg -> Alcotest.failf "lint failed to run: %s" msg
           | Ok report ->
               Alcotest.(check bool)
-                (Printf.sprintf "offline linter flags %s" m.Model.mu_rule)
+                (Printf.sprintf "offline linter flags %s" rule)
                 true
                 (List.exists
-                   (fun (v : Check.violation) ->
-                     v.Check.rule.Check.id = m.Model.mu_rule)
+                   (fun (v : Check.violation) -> v.Check.rule.Check.id = rule)
                    report.Check.Lint.violations))
 
 (* Counterexamples survive the JSON round trip byte-exactly. *)
@@ -148,7 +142,7 @@ let test_cx_roundtrip () =
   let cx =
     {
       Cx.cx_cfg =
-        { Model.default_cfg with Model.mutation = "eager-rollback" };
+        { Model.default_cfg with Model.protocol = Registry.Eager_rollback };
       cx_decisions =
         [
           Dpor.Fire { kind = "deliver"; pid = 1; src = 0; info = "data";
@@ -168,10 +162,44 @@ let test_cx_roundtrip () =
       Alcotest.(check string) "second render is stable" (Cx.to_string cx)
         (Cx.to_string cx')
 
+(* A counterexample names a mutant by its base protocol and the
+   mutation. A file that names no variant the registry has, or sizes the
+   model cannot build, decodes to an error, and [recsim mc replay]
+   refuses it in one line with exit 2. *)
+let cx_file ?(decisions = "") ~protocol ~mutation ~procs () =
+  Printf.sprintf
+    {|{"version":1,"kind":"mc-counterexample","protocol":%S,"mutation":%S,"procs":%d,"msgs":2,"hops":2,"crashes":1,"decisions":[%s],"violations":[]}|}
+    protocol mutation procs decisions
+
+let replay_refuses contents =
+  let file = Filename.temp_file "mc_cx" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      Out_channel.with_open_bin file (fun oc -> output_string oc contents);
+      let code, lines = Test_registry.recsim ("mc replay " ^ file) in
+      Alcotest.(check int) "mc replay exits 2" 2 code;
+      Alcotest.(check int) "with one line" 1 (List.length lines))
+
+let test_cx_rejects (_, protocol, mutation, procs) () =
+  let contents = cx_file ~protocol ~mutation ~procs () in
+  Alcotest.(check bool) "decodes to an error" true
+    (Result.is_error (Cx.of_string contents));
+  replay_refuses contents
+
+(* A schedule whose decision is never enabled decodes, but cannot be
+   replayed: a crash of a process the configuration does not have. *)
+let test_cx_stale () =
+  replay_refuses
+    (cx_file ~protocol:"damani-garg" ~mutation:"" ~procs:3
+       ~decisions:{|{"t":"crash","pid":9}|} ())
+
 (* Replaying a decision prefix must be deterministic: the same prefix
    reaches the same branch points and the same verdict. *)
 let test_replay_deterministic () =
-  let cfg = { Model.default_cfg with Model.mutation = "eager-rollback" } in
+  let cfg =
+    { Model.default_cfg with Model.protocol = Registry.Eager_rollback }
+  in
   let outcome =
     explore ~mode:Explorer.Dpor ~depth:8 ~fingerprint:true
       ~stop_on_violation:true ~log:false cfg
@@ -205,9 +233,20 @@ let suite =
       test_cx_roundtrip;
     Alcotest.test_case "replay deterministic" `Quick
       test_replay_deterministic;
+    Alcotest.test_case "replay refuses a stale schedule" `Quick
+      test_cx_stale;
   ]
   @ List.map
-      (fun (m : Model.mutant) ->
-        Alcotest.test_case ("catch mutant " ^ m.Model.mu_name) `Quick
-          (test_mutant m))
-      Model.mutants
+      (fun ((what, _, _, _) as case) ->
+        Alcotest.test_case ("cx rejects " ^ what) `Quick (test_cx_rejects case))
+      [
+        ("unknown mutation", "damani-garg", "bogus", 3);
+        ("one process", "damani-garg", "skip-dedup", 1);
+        ("foreign mutation", "damani-garg", "ack-before-fsync", 3);
+        ("an ablation", "damani-garg", "damani-garg-nohold", 3);
+      ]
+  @ List.map
+      (fun id ->
+        Alcotest.test_case ("catch mutant " ^ Registry.name id) `Quick
+          (test_mutant id))
+      Registry.mutants
