@@ -163,7 +163,7 @@ let build ?sim ~protocol ~seed ~net ~pattern ~trace ~check ~oracle schedule =
           Option.fold ~none:[] ~some:ground_truth oracle ));
   }
 
-let run params =
+let setup params =
   let net =
     {
       (Network.default_config ~n:params.n) with
@@ -176,12 +176,13 @@ let run params =
     Schedule.poisson_injections ~seed:(Int64.add params.seed 7919L)
       ~n:params.n ~rate:params.rate ~duration:params.duration ~hops:params.hops
   in
-  let s =
-    build ~protocol:params.protocol ~seed:params.seed ~net
-      ~pattern:params.pattern ~trace:params.trace
-      ~check:(params.check <> No_check) ~oracle:params.with_oracle
-      (Schedule.make ~injections ~faults:params.faults)
-  in
+  build ~protocol:params.protocol ~seed:params.seed ~net
+    ~pattern:params.pattern ~trace:params.trace
+    ~check:(params.check <> No_check) ~oracle:params.with_oracle
+    (Schedule.make ~injections ~faults:params.faults)
+
+let run params =
+  let s = setup params in
   Engine.run s.engine;
   let r_check, r_violations = s.verdict () in
   {

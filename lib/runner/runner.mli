@@ -104,4 +104,8 @@ val build :
     the schedule, partitions included. [check] attaches the sanitizer as
     {!run} does; [oracle] the oracle, as [with_oracle]. *)
 
+val setup : params -> sim
+(** What {!run} runs, before it runs: {!build} over the network, the
+    Poisson injections and the faults [params] describe. *)
+
 val pp_report : Format.formatter -> report -> unit
