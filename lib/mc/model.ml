@@ -26,6 +26,8 @@ let default_cfg =
 let validate cfg =
   if cfg.n < 2 || cfg.n > 8 then Error "Model: procs must be in [2, 8]"
   else if cfg.msgs < 1 then Error "Model: at least one injected message"
+  else if cfg.hops < 0 then Error "Model: hops must not be negative"
+  else if cfg.crashes < 0 then Error "Model: crashes must not be negative"
   else Ok ()
 
 (* One rebuildable execution of the configuration. The checker replays

@@ -166,10 +166,11 @@ let test_cx_roundtrip () =
    mutation. A file that names no variant the registry has, or sizes the
    model cannot build, decodes to an error, and [recsim mc replay]
    refuses it in one line with exit 2. *)
-let cx_file ?(decisions = "") ~protocol ~mutation ~procs () =
+let cx_file ?(decisions = "") ?(hops = 2) ?(crashes = 1) ~protocol ~mutation
+    ~procs () =
   Printf.sprintf
-    {|{"version":1,"kind":"mc-counterexample","protocol":%S,"mutation":%S,"procs":%d,"msgs":2,"hops":2,"crashes":1,"decisions":[%s],"violations":[]}|}
-    protocol mutation procs decisions
+    {|{"version":1,"kind":"mc-counterexample","protocol":%S,"mutation":%S,"procs":%d,"msgs":2,"hops":%d,"crashes":%d,"decisions":[%s],"violations":[]}|}
+    protocol mutation procs hops crashes decisions
 
 let replay_refuses contents =
   let file = Filename.temp_file "mc_cx" ".json" in
@@ -181,11 +182,20 @@ let replay_refuses contents =
       Alcotest.(check int) "mc replay exits 2" 2 code;
       Alcotest.(check int) "with one line" 1 (List.length lines))
 
-let test_cx_rejects (_, protocol, mutation, procs) () =
-  let contents = cx_file ~protocol ~mutation ~procs () in
+let rejects contents =
   Alcotest.(check bool) "decodes to an error" true
     (Result.is_error (Cx.of_string contents));
   replay_refuses contents
+
+let test_cx_rejects (_, protocol, mutation, procs) () =
+  rejects (cx_file ~protocol ~mutation ~procs ())
+
+(* Negative sizes are not a model either: they must not reach the
+   replay, where they read as a stale schedule (exit 1). *)
+let test_cx_rejects_negative () =
+  rejects
+    (cx_file ~hops:(-3) ~crashes:(-1) ~protocol:"damani-garg" ~mutation:""
+       ~procs:3 ())
 
 (* A schedule whose decision is never enabled decodes, but cannot be
    replayed: a crash of a process the configuration does not have. *)
@@ -235,6 +245,8 @@ let suite =
       test_replay_deterministic;
     Alcotest.test_case "replay refuses a stale schedule" `Quick
       test_cx_stale;
+    Alcotest.test_case "cx rejects negative hops and crashes" `Quick
+      test_cx_rejects_negative;
   ]
   @ List.map
       (fun ((what, _, _, _) as case) ->
