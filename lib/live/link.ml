@@ -6,7 +6,9 @@ module Prng = Optimist_util.Prng
    seeded duplication decide their fate at send time. Control frames are
    sequence-numbered, kept until acknowledged and retransmitted on a
    timer, so a token sent to a dead worker reaches its next incarnation;
-   receivers ack every copy and deliver the first. Below both lanes sits
+   receivers ack every copy and deliver the first. At most [ctl_window]
+   of them are in flight to one destination; the rest wait in send order
+   and go out as acks come back. Below both lanes sits
    the partition gate. A fabric (Livenet's datagrams, the cluster's TCP
    mesh) only moves the encoded frames. *)
 
@@ -52,11 +54,16 @@ type 'a t = {
   mutable fabric : fabric;
   mutable handler : 'a -> unit;
   mutable ctl_seq : int;
-  unacked : (int, int * Bytes.t) Hashtbl.t; (* seq -> (dst, encoded frame) *)
+  unacked : (int, int * Bytes.t) Hashtbl.t;
+      (* in flight: seq -> (dst, encoded frame) *)
+  in_flight : int array; (* per destination: its entries in [unacked] *)
+  waiting : (int * Bytes.t) Queue.t array;
+      (* per destination, oldest first: (seq, frame) not yet written *)
   seen_ctl : (int * int, unit) Hashtbl.t; (* (src, seq) already delivered *)
   mutable sent_data : int;
   mutable sent_ctl : int;
   mutable retransmits : int;
+  mutable ctl_queued : int;
   mutable received : int;
   mutable send_errors : int;
   mutable faults_dropped : int;
@@ -89,6 +96,17 @@ let write t ~dst bytes =
   if partitioned t ~dst then t.partition_blocked <- t.partition_blocked + 1
   else if not (t.fabric.write ~dst bytes) then
     t.send_errors <- t.send_errors + 1
+
+(* Eight frames fit a 10-datagram Unix-domain queue with room for the
+   Data lane: a token's retransmission of a whole send history would
+   otherwise overflow a restarted worker's queue in one burst, and every
+   retransmit timer tick would overflow it again. *)
+let ctl_window = 8
+
+let launch t ~dst seq bytes =
+  Hashtbl.replace t.unacked seq (dst, bytes);
+  t.in_flight.(dst) <- t.in_flight.(dst) + 1;
+  write t ~dst bytes
 
 let send t ~lane ~dst payload =
   if not t.closed then
@@ -125,8 +143,23 @@ let send t ~lane ~dst payload =
         let bytes =
           Marshal.to_bytes (Ctl_msg { src = t.me; seq; payload }) []
         in
-        Hashtbl.replace t.unacked seq (dst, bytes);
-        write t ~dst bytes
+        if t.in_flight.(dst) < ctl_window then launch t ~dst seq bytes
+        else begin
+          t.ctl_queued <- t.ctl_queued + 1;
+          Queue.push (seq, bytes) t.waiting.(dst)
+        end
+
+(* An ack frees a window slot: the oldest waiting frame takes it. Every
+   copy is acked, so only the first ack of a frame counts. *)
+let acked t seq =
+  match Hashtbl.find_opt t.unacked seq with
+  | None -> ()
+  | Some (dst, _) ->
+      Hashtbl.remove t.unacked seq;
+      t.in_flight.(dst) <- t.in_flight.(dst) - 1;
+      match Queue.take_opt t.waiting.(dst) with
+      | Some (seq, bytes) -> launch t ~dst seq bytes
+      | None -> ()
 
 let dispatch t frame =
   t.received <- t.received + 1;
@@ -141,7 +174,7 @@ let dispatch t frame =
         Hashtbl.replace t.seen_ctl (src, seq) ();
         t.handler payload
       end
-  | Ctl_ack { seq } -> Hashtbl.remove t.unacked seq
+  | Ctl_ack { seq } -> acked t seq
 
 (* A received frame must be exactly one marshalled value, and its source
    a worker of this mesh: the source is where the ack goes, so an
@@ -194,10 +227,13 @@ let create ?(jitter = (0.001, 0.02)) ?(retransmit_every = 0.1) ?(seq_base = 0)
       handler = (fun _ -> ());
       ctl_seq = seq_base;
       unacked = Hashtbl.create 64;
+      in_flight = Array.make n 0;
+      waiting = Array.init n (fun _ -> Queue.create ());
       seen_ctl = Hashtbl.create 256;
       sent_data = 0;
       sent_ctl = 0;
       retransmits = 0;
+      ctl_queued = 0;
       received = 0;
       send_errors = 0;
       faults_dropped = 0;
@@ -247,13 +283,17 @@ let transport t =
   }
 
 let ready t ~timeout = t.fabric.ready ~timeout
-let unacked_count t = Hashtbl.length t.unacked
+let unacked_count t =
+  Array.fold_left
+    (fun acc q -> acc + Queue.length q)
+    (Hashtbl.length t.unacked) t.waiting
 
 let lane_stats t =
   [
     ("sent_data", t.sent_data);
     ("sent_control", t.sent_ctl);
     ("retransmits", t.retransmits);
+    ("ctl_queued", t.ctl_queued);
     ("received", t.received);
     ("send_errors", t.send_errors);
     ("faults_dropped", t.faults_dropped);

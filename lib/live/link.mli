@@ -13,7 +13,9 @@
       until acknowledged, and are retransmitted periodically; receivers
       ack every copy and deliver the first ([(src, seq)] dedup). A
       control frame sent to a crashed peer therefore reaches its next
-      incarnation.
+      incarnation. At most 8 frames are in flight to one destination;
+      later ones wait in send order and are written as acks free the
+      window, so a burst cannot overflow a peer's receive queue.
     - the {b partition gate}, below every frame write.
     - the wire counters, and the per-incarnation seed and sequence base.
 
@@ -115,13 +117,16 @@ val transport : 'a t -> 'a Transport.t
 val ready : 'a t -> timeout:float -> bool
 
 val unacked_count : 'a t -> int
-(** Control frames not yet acknowledged. *)
+(** Control frames not yet acknowledged, in flight or waiting for the
+    window. *)
 
 val stats : 'a t -> (string * int) list
 (** The lane counters, always all present: [sent_data], [sent_control],
-    [retransmits], [received], [send_errors], [faults_dropped],
-    [faults_duplicated], [partition_blocked], [rejected]; then the
-    fabric's own. *)
+    [retransmits], [ctl_queued], [received], [send_errors],
+    [faults_dropped], [faults_duplicated], [partition_blocked],
+    [rejected]; then the fabric's own. [ctl_queued] counts Control frames
+    that waited for the window: they are sent later, not lost, so they are
+    no [send_errors]. *)
 
 val snapshot : 'a t -> (string * float) list
 (** The lane counters and the fabric's metrics as ["link."]-prefixed

@@ -236,6 +236,29 @@ let closed_peer_is_not_busy m =
   Alcotest.(check int) "none busy" 0 (stat a "send_busy");
   Link.close a
 
+(* A burst of Control frames in one callback, as a token makes a peer
+   resend its whole send history: only a window of them is in flight at
+   once, so the receiver's queue never fills, and the rest follow as acks
+   come back, each delivered once. *)
+let control_burst_is_windowed m =
+  let frames = 64 in
+  let loop = new_loop () in
+  let a = endpoint ~jitter:(0.0, 0.0) m loop ~me:0 ~seed:65L in
+  let b = endpoint m loop ~me:1 ~seed:66L in
+  connect a b;
+  let got = inbox b ~me:1 in
+  let sent = List.init frames (fun i -> Printf.sprintf "%02d" i) in
+  List.iter (send a Transport.Control) sent;
+  Loop.run loop ~until:(Loop.now loop +. 1.0);
+  Alcotest.(check int) "none busy" 0 (stat a "send_busy");
+  Alcotest.(check (list string)) "each delivered exactly once" sent
+    (List.sort compare !got);
+  Alcotest.(check int) "the rest waited for the window" (frames - 8)
+    (stat a "ctl_queued");
+  Alcotest.(check int) "all acked" 0 (Link.unacked_count a);
+  Link.close a;
+  Link.close b
+
 let table fabric =
   List.map (fun (name, case) ->
       Alcotest.test_case (fabric.label ^ ": " ^ name) `Quick (fun () ->
@@ -248,6 +271,7 @@ let busy_cases fabric =
     [
       ("a burst to a peer that never drains is busy", burst_to_undrained_peer_is_busy);
       ("writes to a closed peer are not busy", closed_peer_is_not_busy);
+      ("a control burst is windowed, never busy", control_burst_is_windowed);
     ]
 
 let cases fabric =
