@@ -179,9 +179,15 @@ val counters : ('s, 'm) t -> (string * int) list
 val history_record_count : ('s, 'm) t -> int
 (** Current O(n·f) history footprint (Section 6.9(3)). *)
 
-val pp_checkpoint : Format.formatter -> ('s, 'm) checkpoint * int -> unit
+val pp_checkpoint :
+  log:'m Types.log_entry array ->
+  Format.formatter ->
+  ('s, 'm) checkpoint * int ->
+  unit
 (** One line per checkpoint at a log position, independent of how the
     checkpoint is represented: the position, the FTVC, the history records
     of each process by version, the sorted delivered uids, the output
     sequence number and the count of pending outputs. The application
-    state is not printed. *)
+    state is not printed. The uids are those of the stable log prefix
+    [log] up to the position: the duplicate filter a restore to this
+    checkpoint starts from. *)

@@ -109,20 +109,46 @@ let rec tokens_from t ~pid ~(ver : int) (l : int) =
 
 let tokens_complete_below t ~pid ~ver = tokens_from t ~pid ~ver 0
 
-(* Lemma 4 over the clock entries from [j] on. *)
-let rec obsolete_from t (clock : Ftvc.entry array) j =
-  j < Array.length clock
-  &&
-  let e = clock.(j) in
+(* Lemma 4 at one clock entry: a token record for its version with a
+   smaller timestamp. *)
+let obsolete_entry t j (e : Ftvc.entry) =
   let recs = t.peers.(j) in
   let i = index recs e.ver in
-  (i >= 0
+  i >= 0
   &&
   let w = recs.((2 * i) + 1) in
-  is_token w && ts_of w < e.ts)
-  || obsolete_from t clock (j + 1)
+  is_token w && ts_of w < e.ts
+
+let rec obsolete_from t (clock : Ftvc.entry array) j =
+  j < Array.length clock
+  && (obsolete_entry t j clock.(j) || obsolete_from t clock (j + 1))
 
 let message_obsolete t ~clock = obsolete_from t clock 0
+
+(* Section 6.1 over the clock entries from [j] on. *)
+let rec deliverable_from t (clock : Ftvc.entry array) j =
+  j >= Array.length clock
+  || tokens_complete_below t ~pid:j ~ver:clock.(j).Ftvc.ver
+     && deliverable_from t clock (j + 1)
+
+let deliverable t ~clock = deliverable_from t clock 0
+
+type verdict = Deliver | Obsolete | Hold
+
+(* Both tests in one walk of the clock. Obsolete wins over hold, so the
+   walk goes on after an undeliverable entry; [held] records one was
+   seen, and once it is set the deliverability test is skipped. *)
+let rec verdict_from t (clock : Ftvc.entry array) hold held j =
+  if j >= Array.length clock then if held then Hold else Deliver
+  else
+    let e = clock.(j) in
+    if obsolete_entry t j e then Obsolete
+    else
+      verdict_from t clock hold
+        (held || (hold && not (tokens_complete_below t ~pid:j ~ver:e.ver)))
+        (j + 1)
+
+let classify t ~clock ~hold = verdict_from t clock hold false 0
 
 let orphaned_by_token t ~pid ~ver ~(ts : int) =
   let recs = t.peers.(pid) in

@@ -73,6 +73,21 @@ val tokens_complete_below : t -> pid:int -> ver:int -> bool
 val message_obsolete : t -> clock:Optimist_clock.Ftvc.entry array -> bool
 (** Lemma 4 test over a whole message clock. *)
 
+val deliverable : t -> clock:Optimist_clock.Ftvc.entry array -> bool
+(** Section 6.1 over a whole message clock: {!tokens_complete_below} for
+    every entry's process and version. *)
+
+type verdict =
+  | Deliver
+  | Obsolete  (** {!message_obsolete} *)
+  | Hold  (** not obsolete, but not {!deliverable} *)
+
+val classify :
+  t -> clock:Optimist_clock.Ftvc.entry array -> hold:bool -> verdict
+(** The receive path's decision in one walk of the clock: [Obsolete] if
+    the message is obsolete, else [Hold] if [hold] and it is not
+    deliverable, else [Deliver]. Allocates nothing. *)
+
 val orphaned_by_token : t -> pid:int -> ver:int -> ts:int -> bool
 (** Lemma 3 test: does the local state causally depend on a state of
     [pid]'s incarnation [ver] past timestamp [ts]? *)
