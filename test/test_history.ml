@@ -275,7 +275,26 @@ let step h m op =
       Model.note_token m ~pid ~ver ~ts;
       true
   | Ask_obsolete clock ->
-      History.message_obsolete h ~clock = Model.message_obsolete m ~clock
+      (* The receive path's one-walk verdict, against Lemma 4 and
+         Section 6.1 taken one after the other. *)
+      let obsolete = Model.message_obsolete m ~clock in
+      let deliverable =
+        Array.for_all Fun.id
+          (Array.mapi
+             (fun pid (e : Ftvc.entry) ->
+               Model.tokens_complete_below m ~pid ~ver:e.ver)
+             clock)
+      in
+      History.message_obsolete h ~clock = obsolete
+      && History.deliverable h ~clock = deliverable
+      && List.for_all
+           (fun hold ->
+             History.classify h ~clock ~hold
+             =
+             if obsolete then History.Obsolete
+             else if hold && not deliverable then History.Hold
+             else History.Deliver)
+           [ true; false ]
   | Ask_orphan (pid, ver, ts) ->
       History.orphaned_by_token h ~pid ~ver ~ts
       = Model.orphaned_by_token m ~pid ~ver ~ts

@@ -83,6 +83,121 @@ let test_flush_counters () =
   Alcotest.(check int) "flushed entries" 2 (get "flushed_entries");
   Alcotest.(check int) "lost entries" 1 (get "lost_entries")
 
+(* [gc_prefix] lets go of the entries below the floor: once collected,
+   nothing of them is left, their keys still answer, and reading them is
+   an error. *)
+let test_gc_prefix_frees () =
+  let log = Message_log.create ~key:fst () in
+  let w = Weak.create 4 in
+  for uid = 0 to 3 do
+    let e = (uid, Bytes.make 64 'x') in
+    Weak.set w uid (Some e);
+    Message_log.append log e
+  done;
+  Message_log.flush log;
+  Message_log.gc_prefix log 2;
+  Gc.full_major ();
+  Alcotest.(check (list bool)) "only the entries above the floor live"
+    [ false; false; true; true ]
+    (List.init 4 (Weak.check w));
+  Alcotest.(check (list bool)) "every key still answers" [ true; true; true; true ]
+    (List.init 4 (Message_log.mem_key log));
+  let raised =
+    try ignore (Message_log.get log 1); false with Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "below the floor unreadable" true raised
+
+(* The duplicate filter a keyed log keeps, against a reference log: under
+   random deliveries, re-deliveries of a logged uid (a mutant that skips
+   the filter logs them), flushes, crashes, rollback truncations and GC,
+   [mem_key] answers for exactly the uids of [0, total) plus those GC'd,
+   and the entries read back are the reference's. *)
+type op = Deliver | Duplicate of int | Flush | Crash | Truncate of int | Gc of int
+
+let pp_op = function
+  | Deliver -> "deliver"
+  | Duplicate i -> Printf.sprintf "dup %d" i
+  | Flush -> "flush"
+  | Crash -> "crash"
+  | Truncate i -> Printf.sprintf "truncate %d" i
+  | Gc i -> Printf.sprintf "gc %d" i
+
+let prop_filter_matches_log =
+  let gen =
+    QCheck.Gen.(
+      list_size (int_bound 300)
+        (frequency
+           [
+             (6, return Deliver);
+             (2, map (fun i -> Duplicate i) nat);
+             (2, return Flush);
+             (1, return Crash);
+             (1, map (fun i -> Truncate i) nat);
+             (1, map (fun i -> Gc i) nat);
+           ]))
+  in
+  QCheck.Test.make ~name:"log-kept duplicate filter matches a reference set"
+    ~count:300
+    (QCheck.make ~print:(QCheck.Print.list pp_op) gen)
+    (fun ops ->
+      (* The reference: the log as a list of uids (oldest first), the
+         stable mark and the floor, and the uids GC'd. *)
+      let log = Message_log.create ~key:Fun.id () in
+      let entries = ref [||] and stable = ref 0 and floor = ref 0 in
+      let gcd = ref [] and next = ref 0 in
+      let keep k =
+        entries := Array.sub !entries 0 k;
+        stable := min !stable k
+      in
+      let agree () =
+        let total = Array.length !entries in
+        Message_log.total_length log = total
+        && Message_log.stable_length log = !stable
+        && Message_log.gc_floor log = !floor
+        && List.for_all
+             (fun i -> Message_log.get log i = !entries.(i))
+             (List.init (total - !floor) (fun i -> !floor + i))
+        && List.for_all
+             (fun uid ->
+               Message_log.mem_key log uid
+               = (Array.mem uid !entries || List.mem uid !gcd))
+             (List.init (!next + 1) Fun.id)
+      in
+      List.for_all
+        (fun op ->
+          let total = Array.length !entries in
+          (match op with
+          | Deliver ->
+              incr next;
+              Message_log.append log !next;
+              entries := Array.append !entries [| !next |]
+          | Duplicate i ->
+              if total > 0 then begin
+                let uid = !entries.(i mod total) in
+                Message_log.append log uid;
+                entries := Array.append !entries [| uid |]
+              end
+          | Flush ->
+              Message_log.flush log;
+              stable := total
+          | Crash ->
+              Message_log.crash log;
+              keep !stable
+          | Truncate i ->
+              let k = !floor + (i mod (total - !floor + 1)) in
+              Message_log.truncate log k;
+              keep k
+          | Gc i ->
+              let k = i mod (total + 1) in
+              Message_log.gc_prefix log k;
+              let k = min k !stable in
+              if k > !floor then begin
+                gcd := Array.to_list (Array.sub !entries !floor (k - !floor)) @ !gcd;
+                floor := k
+              end);
+          agree ())
+        ops)
+
 (* --- Checkpoint_store --- *)
 
 let test_checkpoint_latest () =
@@ -150,6 +265,9 @@ let suite =
     Alcotest.test_case "truncate volatile" `Quick test_truncate_volatile;
     Alcotest.test_case "iter range" `Quick test_iter_range;
     Alcotest.test_case "gc prefix" `Quick test_gc_prefix;
+    Alcotest.test_case "gc prefix frees the entries below the floor" `Quick
+      test_gc_prefix_frees;
+    QCheck_alcotest.to_alcotest prop_filter_matches_log;
     Alcotest.test_case "log counters" `Quick test_flush_counters;
     Alcotest.test_case "checkpoint latest" `Quick test_checkpoint_latest;
     Alcotest.test_case "checkpoint monotonic positions" `Quick
