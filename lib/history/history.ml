@@ -171,6 +171,22 @@ let records t ~pid =
   let recs = t.peers.(pid) in
   List.init (Array.length recs / 2) (record_at recs)
 
+(* Record for record: the same versions with the same words. Top level,
+   so a comparison allocates no closure. *)
+let rec same_from (x : int array) (y : int array) (i : int) =
+  i >= Array.length x || (x.(i) = y.(i) && same_from x y (i + 1))
+
+let rec peers_from (a : int array array) (b : int array array) (j : int) =
+  j >= Array.length a
+  || Array.length a.(j) = Array.length b.(j)
+     && same_from a.(j) b.(j) 0
+     && peers_from a b (j + 1)
+
+let equal a b =
+  a.me = b.me
+  && Array.length a.peers = Array.length b.peers
+  && peers_from a.peers b.peers 0
+
 let pp ppf t =
   let pp_record ppf r =
     Format.fprintf ppf "(%s,%d,%d)"

@@ -105,4 +105,7 @@ val record_count : t -> int
 val records : t -> pid:int -> record list
 (** All records for [pid], sorted by version; for tests and debugging. *)
 
+val equal : t -> t -> bool
+(** The same records for every process. *)
+
 val pp : Format.formatter -> t -> unit

@@ -25,6 +25,9 @@ let record t ~position payload =
 
 let latest t = match t.items with [] -> None | x :: _ -> Some x
 
+let latest_is t pred arg =
+  match t.items with [] -> false | (cp, position) :: _ -> pred arg cp position
+
 let latest_satisfying t pred =
   let rec loop = function
     | [] -> None

@@ -26,6 +26,10 @@ val record : 'cp t -> position:int -> 'cp -> unit
 val latest : 'cp t -> ('cp * int) option
 (** Most recent checkpoint and its position. *)
 
+val latest_is : 'cp t -> ('a -> 'cp -> int -> bool) -> 'a -> bool
+(** [latest_is t pred arg] is [pred arg payload position] for the most
+    recent checkpoint, [false] when there is none. It allocates nothing. *)
+
 val latest_satisfying : 'cp t -> ('cp -> int -> bool) -> ('cp * int) option
 (** [latest_satisfying t pred] returns the most recent checkpoint for which
     [pred payload position] holds — the paper's "restore the maximum
