@@ -5,7 +5,7 @@
    mismatched builds on different hosts — and the workers' TCP mesh
    frames too, so a change to either layout bumps it. *)
 
-let version = 4
+let version = 5
 
 type agent_cfg = {
   run_id : string;  (** for agent-side logging *)

@@ -5,19 +5,22 @@
     own outbound connection; every frame carries its source pid, so
     inbound streams need no handshake). Connections are established
     non-blockingly and rebuilt after loss with capped exponential
-    backoff. While a connection is down or clogged, writes to it fail —
-    to the lanes, the same as a refused datagram.
+    backoff. While a connection is down, writes to it are [Gone]; while
+    more than 4 MiB wait unflushed on it, they are [Busy]. To the lanes
+    either is the same as a refused datagram.
 
-    Wire: a 4-byte big-endian length, then the body — one marshalled
-    {!Optimist_live.Link.frame} (exactly a Livenet datagram) or a
-    13-byte heartbeat (tag byte 1 for a ping or 2 for a pong, int32
-    source pid, float64 send time). Pings flow every 0.25 s on each live connection
+    Wire: a 4-byte big-endian length, then the body — one batch of
+    marshalled {!Optimist_live.Link.frame}s (exactly a Livenet datagram)
+    or a 13-byte heartbeat (tag byte 1 for a ping or 2 for a pong, int32
+    source pid, float64 send time). Heartbeats are written at once, never
+    batched. Pings flow every 0.25 s on each live connection
     and double as a failure detector: a peer silent for 3 s has its
     connection torn and rebuilt. Pongs feed an RTT histogram.
 
     Besides the lane counters, [Link.stats] carries the stream counters
     that have moved: [bytes_sent], [bytes_received], [frames_sent],
-    [frames_received], [connects], [reconnects], [accepted],
+    [frames_received] (these two count length-prefixed bodies: batches
+    and heartbeats), [connects], [reconnects], [accepted],
     [hb_timeouts]; [Link.snapshot] adds [link.hb_rtt_ms.count/p50/p95]. *)
 
 module Link = Optimist_live.Link

@@ -7,8 +7,8 @@
       otherwise its write is delayed by a seeded jitter, so back-to-back
       sends genuinely reorder, and it may be written twice
       ([dup_rate]). A write to a dead or unborn peer fails — a real
-      in-flight loss. With zero jitter the frame is written in the send
-      call, so send order is wire order: the lane is FIFO.
+      in-flight loss. With zero jitter the frame is queued for the wire
+      in the send call, so send order is wire order: the lane is FIFO.
     - {b Control} — reliable. Frames carry a sequence number, are kept
       until acknowledged, and are retransmitted periodically; receivers
       ack every copy and deliver the first ([(src, seq)] dedup). A
@@ -16,7 +16,16 @@
       incarnation. At most 8 frames are in flight to one destination;
       later ones wait in send order and are written as acks free the
       window, so a burst cannot overflow a peer's receive queue.
-    - the {b partition gate}, below every frame write.
+    - the {b partition gate}, below every frame, at the moment the frame
+      is queued.
+    - {b batching}. A frame that passes the gate joins its destination's
+      pending frames. At each seam of the {!Loop} ({!Loop.on_seam}) the
+      link writes every destination's pending frames as one body: the
+      marshalled frames back to back, in send order. Marshalled values
+      carry their own size, so a batch needs no header. A destination
+      whose pending frames reach 16 KiB is written at once, and {!close}
+      writes what is pending. Acks stay one frame per received Control
+      frame; they are batched like any other frame.
     - the wire counters, and the per-incarnation seed and sequence base.
 
     A {!fabric} only moves encoded frames between workers: {!Livenet}
@@ -42,8 +51,9 @@ type faults = {
 
 val no_faults : faults
 
-(** One lane frame, marshalled. It is the unit every fabric moves: a
-    Livenet datagram is exactly one, unwrapped. *)
+(** One lane frame, marshalled. A fabric moves batches of them: a
+    Livenet datagram, or a TCP body, is one or more marshalled frames
+    back to back. *)
 type 'a frame =
   | Data_msg of { src : int; payload : 'a }
   | Ctl_msg of { src : int; seq : int; payload : 'a }
@@ -52,19 +62,30 @@ type 'a frame =
 (** What the lanes hand a fabric. *)
 type port = {
   deliver : Bytes.t -> int -> int -> unit;
-      (** [deliver buf off len]: one received frame. Anything that is not
-          exactly one marshalled {!frame} with a source in [\[0, n)] is
-          counted as [rejected] and dropped. *)
+      (** [deliver buf off len]: one received batch. Unless the sizes of
+          its marshalled frames tile [len] bytes exactly, it is rejected
+          whole: counted once as [rejected], no frame dispatched. Then
+          each frame that does not decode as a {!frame} with a source in
+          [\[0, n)] is counted as [rejected] and dropped. *)
   send : dst:int -> Bytes.t -> unit;
-      (** write a fabric-level frame (TCP heartbeats) through the same
-          partition gate and error accounting as the lanes *)
+      (** write a fabric-level frame (TCP heartbeats) at once, unbatched,
+          through the same partition gate and error accounting as the
+          lanes *)
   reject : unit -> unit;  (** count a malformed fabric-level frame *)
 }
 
+(** What became of one fabric write. [Busy]: the peer is alive but
+    cannot take it now (a full datagram queue, a clogged TCP buffer).
+    [Gone]: the peer is dead, unborn or unreachable. Either way the
+    bytes are lost. *)
+type write_result = Sent | Busy | Gone
+
 (** A byte mover: one worker's end of a fabric. *)
 type fabric = {
-  write : dst:int -> Bytes.t -> bool;
-      (** move one frame to [dst]; [false] if it could not be sent *)
+  write : dst:int -> Bytes.t -> int -> write_result;
+      (** [write ~dst buf len]: move [buf.[0, len)], one batch, to [dst].
+          The fabric must be done with [buf] when it returns: the link
+          reuses it. *)
   ready : timeout:float -> bool;
       (** block until every peer is reachable; [false] on timeout. The
           gen-0 startup barrier. *)
@@ -85,21 +106,27 @@ val create :
   ?retransmit_every:float ->
   ?seq_base:int ->
   ?faults:faults ->
+  ?before_write:(unit -> unit) ->
   loop:Loop.t ->
   me:int ->
   n:int ->
   seed:int64 ->
   factory ->
   'a t
-(** Attach the fabric and start the retransmit timer (default every
-    0.1 s). [jitter] is the (min, max) Data-lane send delay in seconds
-    (default 1–20 ms). [(0.0, 0.0)] means no delay: each Data frame is
-    written in its send call, with no timer and no jitter draw, so the
-    lane is FIFO. [seed] seeds the fault and jitter draws;
-    [seq_base] is the first control sequence number minus one. *)
+(** Attach the fabric, register the batch writer on [loop]'s seams and
+    start the retransmit timer (default every 0.1 s). [jitter] is the
+    (min, max) Data-lane send delay in seconds (default 1–20 ms).
+    [(0.0, 0.0)] means no delay: each Data frame is queued in its send
+    call, with no timer and no jitter draw, so the lane is FIFO. [seed]
+    seeds the fault and jitter draws; [seq_base] is the first control
+    sequence number minus one. [before_write] runs before any batch is
+    written, forced writes and {!close} included (the worker flushes its
+    trace there, so a [Send] is on disk before its frame is on the
+    wire). *)
 
 val incarnation :
   ?jitter:float * float ->
+  ?before_write:(unit -> unit) ->
   factory ->
   loop:Loop.t ->
   me:int ->
@@ -122,15 +149,20 @@ val unacked_count : 'a t -> int
 
 val stats : 'a t -> (string * int) list
 (** The lane counters, always all present: [sent_data], [sent_control],
-    [retransmits], [ctl_queued], [received], [send_errors],
-    [faults_dropped], [faults_duplicated], [partition_blocked],
-    [rejected]; then the fabric's own. [ctl_queued] counts Control frames
-    that waited for the window: they are sent later, not lost, so they are
-    no [send_errors]. *)
+    [batches_sent], [retransmits], [ctl_queued], [received],
+    [send_errors], [send_busy], [faults_dropped], [faults_duplicated],
+    [partition_blocked], [rejected]; then the fabric's own.
+    [batches_sent] counts successful fabric writes of lane frames.
+    [send_errors] counts frames lost to failed writes, a failed batch
+    adding every frame it held; [send_busy] counts those of them whose
+    write came back [Busy], so [send_errors - send_busy] is the frames
+    lost to dead or unborn peers. [ctl_queued] counts Control frames
+    that waited for the window: they are sent later, not lost, so they
+    are no [send_errors]. *)
 
 val snapshot : 'a t -> (string * float) list
 (** The lane counters and the fabric's metrics as ["link."]-prefixed
     floats, for the worker's [Snapshot] telemetry records. *)
 
 val close : 'a t -> unit
-(** Stop the timers and close the fabric. *)
+(** Write the pending frames, stop the timers and close the fabric. *)

@@ -2,7 +2,8 @@
    boundaries (no stream framing) and need no connection management, so a
    SIGKILL-ed peer costs its correspondents nothing but an ECONNREFUSED on
    the next send — exactly the failed write the Data lane treats as a
-   loss and the Control lane retries. *)
+   loss and the Control lane retries. Each datagram is one of Link's
+   batches. *)
 
 type 'a t = 'a Link.t
 
@@ -57,9 +58,8 @@ let factory ~dir : Link.factory =
   let addrs = Array.init n (fun i -> Unix.ADDR_UNIX (sock_path dir i)) in
   let buf = Lazy.force recv_buf in
   let closed = ref false in
-  let busy = ref 0 in
   (* Drain every datagram currently queued; the socket is non-blocking.
-     The frame names its source, so the sender's address is not read. *)
+     Each frame names its source, so the sender's address is not read. *)
   let rec pump () =
     match Unix.recv fd buf 0 (Bytes.length buf) [] with
     | len ->
@@ -71,24 +71,22 @@ let factory ~dir : Link.factory =
         ()
   in
   Loop.on_readable loop fd pump;
-  (* A full queue (the peer is alive but behind) and a dead or unborn
-     peer both lose the frame; [send_busy] counts the first kind, so
-     [send_errors - send_busy] is the loss to dead peers. *)
-  let write ~dst bytes =
-    match Unix.sendto fd bytes 0 (Bytes.length bytes) [] addrs.(dst) with
-    | _ -> true
+  (* One batch, one datagram. A full queue (the peer is alive but
+     behind) is busy; a dead or unborn peer is gone. *)
+  let write ~dst bytes len =
+    match Unix.sendto fd bytes 0 len [] addrs.(dst) with
+    | _ -> Link.Sent
     | exception
         Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ENOBUFS), _, _)
       ->
-        incr busy;
-        false
+        Link.Busy
     | exception Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ENOENT), _, _) ->
-        false
+        Link.Gone
   in
   {
     Link.write;
     ready = (fun ~timeout -> wait_for_peers ~dir ~n ~timeout);
-    stats = (fun () -> [ ("send_busy", !busy) ]);
+    stats = (fun () -> []);
     snapshot = (fun () -> []);
     close =
       (fun () ->

@@ -1,7 +1,8 @@
 (** The single-host fabric: a mesh of Unix-domain datagram sockets.
 
-    Worker [i] binds [DIR/wi.sock]; each lane frame ({!Link.frame}) is
-    one datagram, sent straight to the peer's address, so there is no
+    Worker [i] binds [DIR/wi.sock]; each batch of lane frames
+    ({!Link.frame}) is one datagram, sent straight to the peer's
+    address, so there is no
     connection state to tear down when a peer is SIGKILL-ed — a send to
     it just fails until its successor binds the path again. Lane
     semantics are {!Link}'s. *)
@@ -25,12 +26,11 @@ val create :
 
 val factory : dir:string -> Link.factory
 (** The UDS mesh under [dir]. Its [ready] waits for every peer's socket
-    file to exist. Its [stats] report [send_busy]: failed writes to a
-    live peer whose receive queue was full ([EAGAIN], [EWOULDBLOCK],
-    [ENOBUFS]). {!Link}'s [send_errors] counts every failed write, so
-    [send_errors - send_busy] is the frames lost to dead or unborn peers.
-    Every endpoint of an OS process shares one receive buffer. Raises
-    [Invalid_argument] when {!check_dir} fails. *)
+    file to exist. A write to a live peer whose receive queue is full
+    ([EAGAIN], [EWOULDBLOCK], [ENOBUFS]) is [Busy]; one to a dead or
+    unborn peer ([ECONNREFUSED], [ENOENT]) is [Gone]. It adds no counters
+    of its own. Every endpoint of an OS process shares one receive
+    buffer. Raises [Invalid_argument] when {!check_dir} fails. *)
 
 val sock_path : string -> int -> string
 (** [sock_path dir i] is worker [i]'s socket path. *)

@@ -15,6 +15,8 @@ type t = {
   mutable rlist : Unix.file_descr list;
   mutable wfds : (Unix.file_descr * (unit -> unit)) list;
   mutable wlist : Unix.file_descr list;
+  mutable seams : (unit -> unit) list;
+      (* run after due timers and after each ready callback *)
   mutable stopped : bool;
   tracer : Trace.t;
 }
@@ -29,6 +31,7 @@ let create ?(tracer = Trace.null) ~base () =
     rlist = [];
     wfds = [];
     wlist = [];
+    seams = [];
     stopped = false;
     tracer;
   }
@@ -73,6 +76,11 @@ let remove_fd t fd =
   t.rlist <- List.filter (fun f -> f != fd) t.rlist;
   remove_writable t fd
 
+(* In registration order, so a hook added first runs first. *)
+let on_seam t f = t.seams <- t.seams @ [ f ]
+let remove_seam t f = t.seams <- List.filter (fun g -> g != f) t.seams
+let seam t = List.iter (fun f -> f ()) t.seams
+
 let stop t = t.stopped <- true
 
 let tracer t = t.tracer
@@ -97,21 +105,32 @@ let fire_due t =
         fire ()
     | _ -> ()
   in
-  fire ()
+  fire ();
+  seam t
 
 (* A callback is looked up when its fd is served, not when select
    returns, so one removed by an earlier callback of this turn never
-   runs. A [file_descr] is an int on Unix, so [==] is fd equality. *)
+   runs. A [file_descr] is an int on Unix, so [==] is fd equality. The
+   seams run after each callback, so what it sent reaches a peer served
+   later in this turn. *)
 let select_once t ~timeout =
   match Unix.select t.rlist t.wlist [] timeout with
   | ready, writable, _ ->
       List.iter
         (fun fd ->
-          match List.assq_opt fd t.fds with Some cb -> cb () | None -> ())
+          match List.assq_opt fd t.fds with
+          | Some cb ->
+              cb ();
+              seam t
+          | None -> ())
         ready;
       List.iter
         (fun fd ->
-          match List.assq_opt fd t.wfds with Some cb -> cb () | None -> ())
+          match List.assq_opt fd t.wfds with
+          | Some cb ->
+              cb ();
+              seam t
+          | None -> ())
         writable
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
 

@@ -38,6 +38,15 @@ val remove_writable : t -> Unix.file_descr -> unit
 val remove_fd : t -> Unix.file_descr -> unit
 (** Drop [fd] from both the readable and writable sets. *)
 
+val on_seam : t -> (unit -> unit) -> unit
+(** Register a hook run at every seam of the loop: after the due timers
+    of a turn have fired (before [select] can block) and after each ready
+    callback. Hooks run in registration order. {!Link} writes its batched
+    frames here. *)
+
+val remove_seam : t -> (unit -> unit) -> unit
+(** Drop a hook registered with {!on_seam} (compared physically). *)
+
 val run : t -> until:float -> unit
 (** Fire due timers and pump readiness until [now t >= until] or {!stop}.
     Timers still pending at the deadline are dropped. *)

@@ -9,7 +9,8 @@ module Transport = Optimist_core.Transport
 module Prng = Optimist_util.Prng
 
 (* A fresh two-worker mesh: its factory, and a way to put raw bytes on
-   the wire to worker [dst] as one frame, bypassing the lanes. *)
+   the wire to worker [dst] as one batch (a datagram, or a TCP body),
+   bypassing the lanes. *)
 type mesh = {
   factory : Link.factory;
   inject : dst:int -> Bytes.t -> unit;
@@ -222,7 +223,9 @@ let burst_to_undrained_peer_is_busy m =
   Link.close a;
   Link.close b
 
-(* A closed peer loses every frame, and none of them counts as busy. *)
+(* A closed peer loses every frame, and none of them counts as busy.
+   The frames are written at the loop's next seam, so the loop turns
+   once. *)
 let closed_peer_is_not_busy m =
   let loop = new_loop () in
   let a = endpoint ~jitter:(0.0, 0.0) m loop ~me:0 ~seed:63L in
@@ -232,6 +235,7 @@ let closed_peer_is_not_busy m =
   for i = 1 to 3 do
     send a Transport.Data (string_of_int i)
   done;
+  Loop.run_once loop ~max_wait:0.0;
   Alcotest.(check int) "every frame lost" 3 (stat a "send_errors");
   Alcotest.(check int) "none busy" 0 (stat a "send_busy");
   Link.close a
@@ -259,13 +263,110 @@ let control_burst_is_windowed m =
   Link.close a;
   Link.close b
 
+(* Frames sent in one callback leave together: 32 Data frames to one
+   peer are one batch, far under a 10-datagram UDS queue, so every one
+   arrives, in send order. *)
+let one_callback_is_one_batch m =
+  let frames = 32 in
+  let loop = new_loop () in
+  let a = endpoint ~jitter:(0.0, 0.0) m loop ~me:0 ~seed:67L in
+  let b = endpoint m loop ~me:1 ~seed:68L in
+  connect a b;
+  let got = inbox b ~me:1 in
+  let before = stat a "batches_sent" in
+  let sent = List.init frames (fun i -> Printf.sprintf "%02d" i) in
+  Loop.schedule loop ~delay:0.0 (fun () -> List.iter (send a Transport.Data) sent);
+  Loop.run loop ~until:(Loop.now loop +. 0.3);
+  Alcotest.(check bool) "at most 4 batches" true
+    (stat a "batches_sent" - before <= 4);
+  Alcotest.(check int) "no send errors" 0 (stat a "send_errors");
+  Alcotest.(check (list string)) "all delivered in send order" sent
+    (List.rev !got);
+  Link.close a;
+  Link.close b
+
+(* A batch whose frame sizes do not tile it exactly (trailing bytes, or
+   a frame cut short) is rejected whole, once, before any of its frames
+   is dispatched; the valid frames it carries are not delivered. *)
+let untiled_batch_is_rejected_whole m =
+  let loop = new_loop () in
+  let a = endpoint m loop ~me:0 ~seed:69L in
+  let b = endpoint m loop ~me:1 ~seed:70L in
+  connect a b;
+  let got = inbox b ~me:1 in
+  let frame x = Marshal.to_bytes (Link.Data_msg { src = 0; payload = x }) [] in
+  let two = Bytes.cat (frame "one") (frame "two") in
+  m.inject ~dst:1 (Bytes.cat two (Bytes.of_string "tail"));
+  m.inject ~dst:1 (Bytes.sub two 0 (Bytes.length two - 1));
+  Loop.run loop ~until:(Loop.now loop +. 0.3);
+  Alcotest.(check (list string)) "no frame dispatched" [] !got;
+  Alcotest.(check int) "each batch rejected once" 2 (stat b "rejected");
+  m.inject ~dst:1 two;
+  Loop.run loop ~until:(Loop.now loop +. 0.3);
+  Alcotest.(check (list string)) "a tiled batch is dispatched" [ "two"; "one" ]
+    !got;
+  Alcotest.(check int) "and not rejected" 2 (stat b "rejected");
+  Link.close a;
+  Link.close b
+
+(* Closing a link writes what it still holds: frames sent after the last
+   seam are not lost with it. *)
+let close_writes_pending m =
+  let loop = new_loop () in
+  let a = endpoint ~jitter:(0.0, 0.0) m loop ~me:0 ~seed:71L in
+  let b = endpoint m loop ~me:1 ~seed:72L in
+  connect a b;
+  let got = inbox b ~me:1 in
+  send a Transport.Data "d1";
+  send a Transport.Data "d2";
+  Link.close a;
+  Loop.run loop ~until:(Loop.now loop +. 0.3);
+  Alcotest.(check int) "written, not lost" 0 (stat a "send_errors");
+  Alcotest.(check (list string)) "delivered after the sender closed"
+    [ "d1"; "d2" ] (List.rev !got);
+  Link.close b
+
+(* Control frames ride the same batches as Data frames; interleaving
+   them must not reorder the FIFO Data lane. *)
+let interleaved_lanes_keep_data_order m =
+  let rounds = 50 and burst = 4 in
+  let loop = new_loop () in
+  let a = endpoint ~jitter:(0.0, 0.0) m loop ~me:0 ~seed:73L in
+  let b = endpoint m loop ~me:1 ~seed:74L in
+  connect a b;
+  let got = inbox b ~me:1 in
+  for r = 1 to rounds do
+    for i = 1 to burst do
+      send a Transport.Data (Printf.sprintf "d%d.%d" r i);
+      send a Transport.Control (Printf.sprintf "c%d.%d" r i)
+    done;
+    Loop.run_once loop ~max_wait:0.05
+  done;
+  Loop.run loop ~until:(Loop.now loop +. 0.5);
+  let names prefix =
+    List.concat
+      (List.init rounds (fun r ->
+           List.init burst (fun i ->
+               Printf.sprintf "%c%d.%d" prefix (r + 1) (i + 1))))
+  in
+  let lane c = List.filter (fun x -> x.[0] = c) (List.rev !got) in
+  Alcotest.(check int) "no send errors" 0 (stat a "send_errors");
+  Alcotest.(check (list string)) "data arrival order is send order"
+    (names 'd') (lane 'd');
+  Alcotest.(check (list string)) "control delivered exactly once"
+    (List.sort compare (names 'c'))
+    (List.sort compare (lane 'c'));
+  Link.close a;
+  Link.close b
+
 let table fabric =
   List.map (fun (name, case) ->
       Alcotest.test_case (fabric.label ^ ": " ^ name) `Quick (fun () ->
           case (fabric.fresh ())))
 
-(* Cases for a fabric whose [stats] tell a busy peer from a dead one
-   ([send_busy]); Livenet's datagrams do, the TCP mesh does not. *)
+(* Cases for a fabric whose receiver queue fills after a few writes:
+   Livenet's datagram queue does, while the TCP mesh buffers 4 MiB per
+   connection before a write comes back busy. *)
 let busy_cases fabric =
   table fabric
     [
@@ -286,4 +387,9 @@ let cases fabric =
       ( "seeded drop/dup under zero jitter match the reference draws",
         drop_dup_match_reference ~jitter:(0.0, 0.0) );
       ("bad frames are rejected, not fatal", rejects_bad_frames);
+      ("32 frames in one callback leave as one batch", one_callback_is_one_batch);
+      ("a batch that does not tile is rejected whole", untiled_batch_is_rejected_whole);
+      ("close writes the pending frames", close_writes_pending);
+      ( "interleaved data and control keep the data order",
+        interleaved_lanes_keep_data_order );
     ]
