@@ -45,6 +45,13 @@ val stats_file : dir:string -> me:int -> gen:int -> string
 val store_dir : dir:string -> me:int -> string
 (** The worker's stable-storage directory (shared by incarnations). *)
 
+val uid : n:int -> me:int -> gen:int -> int -> int
+(** [uid ~n ~me ~gen seq]: the uid of send number [seq] (from 1) of
+    incarnation [gen] of worker [me] among [n]. Distinct for every
+    [(me, gen, seq)]: [seq] has 40 bits of its own, so it never carries
+    into the generation. Raises [Failure] for a [seq] or [gen] out of
+    that range. *)
+
 val main : cfg -> unit
 (** Run the worker to its deadline and write the stats file. Blocks;
     meant to be the body of a forked child. Exits 1 if the peer sockets

@@ -408,6 +408,33 @@ let contains hay needle =
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   go 0
 
+(* A worker's uids stay distinct across incarnations however many sends
+   one makes: the sends around 2^28, where a 28-bit sequence would carry
+   into the generation, must not meet the next incarnation's first ones,
+   and a sequence past the uid range fails loudly instead of wrapping. *)
+let test_uid_sequence_never_carries () =
+  let n = 4 and me = 1 in
+  let uids =
+    List.concat_map
+      (fun gen ->
+        List.concat_map
+          (fun seq -> [ Worker.uid ~n ~me ~gen seq ])
+          [ 1; 2; 3; (1 lsl 28) - 1; 1 lsl 28; (1 lsl 28) + 1; (1 lsl 28) + 2 ])
+      [ 0; 1; 2 ]
+  in
+  Alcotest.(check int) "distinct across generations" (List.length uids)
+    (List.length (List.sort_uniq Int.compare uids));
+  List.iter
+    (fun u -> Alcotest.(check int) "the worker in the low digits" me (u mod n))
+    uids;
+  let fails f =
+    match f () with _ -> false | exception Failure _ -> true
+  in
+  Alcotest.(check bool) "an exhausted sequence fails loudly" true
+    (fails (fun () -> Worker.uid ~n ~me ~gen:0 (1 lsl 50)));
+  Alcotest.(check bool) "a generation out of range fails loudly" true
+    (fails (fun () -> Worker.uid ~n ~me ~gen:(1 lsl 40) 1))
+
 (* Every way a plan can be nonsense, one row each; an accepted row is
    the boundary next to a rejected one. *)
 let test_plan_validates () =
@@ -624,6 +651,8 @@ let suite =
       (baseline_survives_crash Worker.Koo);
     Alcotest.test_case "plan: validate rejects nonsense, one table" `Quick
       test_plan_validates;
+    Alcotest.test_case "worker uids: the sequence never carries into the generation"
+      `Quick test_uid_sequence_never_carries;
     Alcotest.test_case "supervisor validates parameters" `Quick
       test_supervisor_validates;
     Alcotest.test_case "live report: empty run.json and stats files" `Quick
